@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bch, cosets, distance, gf, verify
-from .errors import CosetForgeError
+from .errors import CosetForgeError, UsageError
 
 ELIDE_DEFAULT = 128
 
@@ -100,9 +100,10 @@ def _parse_grid(spec: str | None) -> dict | None:
     grid: dict[str, list[int]] = {}
     for pair in spec.split(","):
         key, _, values = pair.partition("=")
-        if not values:
-            raise CosetForgeError(f"bad --grid entry {pair!r}, expected k=v or k=v1|v2")
-        grid[key.strip()] = [int(v) for v in values.split("|")]
+        try:
+            grid[key.strip()] = [int(v) for v in values.split("|")]
+        except ValueError:
+            raise UsageError(f"bad --grid entry {pair!r}, expected k=v or k=v1|v2 with integer values") from None
     return grid
 
 
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
         doc, rc = args.fn(args)
     except CosetForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     _emit(doc, args)
     return rc
 

@@ -1,17 +1,21 @@
 """True minimum distances by exhaustive enumeration, plus closed-form bounds.
 
-Codewords are message-polynomial multiples of the generator.  Enumeration
-expands GF(q) = GF(p^e) linearly over GF(p): the k generator shifts are
-scaled by the subfield basis powers, every element is split into its e
-base-p digits, and whole chunks of messages are evaluated with one integer
-matrix product mod p.  Chunks follow lexicographic message order, so the
-visit order is deterministic and independent of chunk size.
+Every code here is cyclic, c = u g with deg u < k.  A shift and a scaling
+move any nonzero codeword to one with c_0 = 1 and keep its weight, and only
+the row x^0 g touches c_0, so enumeration visits just the q^(k-1) words
+with u_0 = g_0^-1.  Their weight histogram N_w gives the minimum distance
+(the first w >= 1 with N_w > 0) and A_w = n (q-1) N_w / w.  It works on
+GF(q) element indices (q_add, q_mul), tabulating the spans of two halves
+of the other rows (meet in the middle): a + b = 0 exactly when a = -b, so
+weights are one vectorised comparison.  The MacWilliams transform runs the
+three-term Krawtchouk recurrence (MacWilliams & Sloane, ch. 5).
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +26,20 @@ from .errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntege
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "COSETFORGE_BUDGET"
 
-_CHUNK_ENTRIES = 1 << 24  # cap on rows x columns per matmul chunk
+_TABLE_ENTRIES = 1 << 22  # cap on rows x n of one span table
 
 
 def effective_budget(budget: int | None = None) -> int:
     """Explicit budget, else the COSETFORGE_BUDGET env var, else the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise OutOfRange(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
+    if budget < 0:
+        raise OutOfRange(f"enumeration budget must be >= 0, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -54,67 +63,54 @@ class DistanceResult:
     enumerated: int
 
 
-def _expanded_generator(t: gf.FieldTower, code) -> np.ndarray:
-    """GF(p)-basis of the code as digit rows, shape (e*k, e*n)."""
-    q, p, e = t.q, t.p, t.e
-    n, k = code.n, code.dimension
-    gcoeffs = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(code.genpoly.coeffs):
-        gcoeffs[i] = c
-    qmul = np.asarray(t.q_mul)
-    rows = np.zeros((e * k, e * n), dtype=np.float32)
-    for j in range(k):
-        shifted = np.roll(gcoeffs, j)
-        for d in range(e):
-            scaled = qmul[p**d, shifted]  # index p**d encodes omega**d
-            for d2 in range(e):
-                rows[j * e + d, d2::e] = (scaled // p**d2) % p
-    return rows
+def _span_tables(add: np.ndarray, mul: np.ndarray, start: np.ndarray, rows: list, fit: int) -> Iterator[np.ndarray]:
+    """Tables of at most q^fit rows that together list start + every combination of rows."""
+    q, n, lead = len(mul), len(start), max(0, len(rows) - fit)
+    for scalars in itertools.product(range(q), repeat=lead):
+        word = start
+        for s, r in zip(scalars, rows):
+            word = add[word, mul[s, r]]
+        table = word[None, :]
+        for r in rows[lead:]:
+            table = add[table[None, :, :], mul[:, r][:, None, :]].reshape(-1, n)
+        yield table
 
 
-def _enumerate(t: gf.FieldTower, code, budget: int, want_counts: bool):
-    """Visit all q^k codewords; returns (counts | None, min_weight, visited)."""
-    q, p, e = t.q, t.p, t.e
-    n, k = code.n, code.dimension
-    total = q**k
-    if total > budget:
-        raise BudgetExceeded(f"q^k = {total} exceeds budget {budget}")
-    counts = [0] * (n + 1) if want_counts else None
+def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
+    """N_0..N_n, the codewords with c_0 = 1 by weight (none when k = 0)."""
+    q, n, k = t.q, code.n, code.dimension
+    if q**k > budget:
+        raise BudgetExceeded(f"q^k = {q**k} exceeds budget {budget}")
+    hist = np.zeros(n + 1, dtype=np.int64)
     if k == 0:
-        if counts is not None:
-            counts[0] = 1
-        return counts, None, 1
-    rows = _expanded_generator(t, code)
-    nk = e * k
-    divisors = (float(p) ** np.arange(nk - 1, -1, -1)).reshape(1, nk)
-    chunk = max(1, _CHUNK_ENTRIES // (e * n))
-    min_w: int | None = None
-    lo = 0
-    while lo < total:
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.float64).reshape(-1, 1)
-        digits = np.floor(idx / divisors) % p
-        cw = (np.asarray(digits, dtype=np.float32) @ rows).astype(np.int16)
-        cw %= p  # entries are small exact sums, so int16 is safe
-        nz = cw.reshape(hi - lo, n, e).any(axis=2)
-        weights = nz.sum(axis=1)
-        if counts is not None:
-            binned = np.bincount(weights, minlength=n + 1)
-            for w in np.nonzero(binned)[0]:
-                counts[int(w)] += int(binned[w])
-        nonzero_w = weights[1:] if lo == 0 else weights
-        if nonzero_w.size:
-            w = int(nonzero_w.min())
-            if min_w is None or w < min_w:
-                min_w = w
-        lo = hi
-    return counts, min_w, total
+        return hist
+    dt = np.min_scalar_type(q - 1)
+    add = np.asarray(t.q_add, dtype=dt)
+    mul = np.asarray(t.q_mul, dtype=dt)
+    neg = np.nonzero(add == 0)[1].astype(dt)  # add[a, neg[a]] == 0
+    g = np.zeros(n, dtype=dt)
+    g[: len(code.genpoly.coeffs)] = code.genpoly.coeffs
+    assert g[0], "the generator of a cyclic code has g_0 != 0"
+    base = mul[t.q_inv[g[0]], g]  # u_0 = g_0^-1, so c_0 = 1
+    rows = [np.roll(g, j) for j in range(1, k)]  # x^j g, zero at position 0
+    fit = next(r for r in itertools.count() if q ** (r + 1) * n > _TABLE_ENTRIES)
+    (first,) = _span_tables(add, mul, base, rows[:fit], fit)
+    for table in _span_tables(add, mul, np.zeros(n, dtype=dt), rows[fit:], fit):
+        for b in neg[table]:
+            hist += np.bincount((first != b).sum(axis=1, dtype=np.min_scalar_type(n)), minlength=n + 1)
+    return hist
 
 
 def weight_enumerator(t: gf.FieldTower, code, budget: int | None = None) -> WeightEnumerator:
     """Full A_0..A_n by exhaustive enumeration (BudgetExceeded if too big)."""
-    counts, _, _ = _enumerate(t, code, effective_budget(budget), want_counts=True)
-    return WeightEnumerator(n=code.n, counts=tuple(counts))
+    n, q = code.n, t.q
+    hist = _weight_histogram(t, code, effective_budget(budget))
+    counts = [1] + [0] * n
+    for w in map(int, np.flatnonzero(hist)):
+        a, rem = divmod(n * (q - 1) * int(hist[w]), w)
+        assert rem == 0, f"N_{w} = {hist[w]} does not come from a cyclic code"
+        counts[w] = a
+    return WeightEnumerator(n=n, counts=tuple(counts))
 
 
 def min_distance_enumerate(
@@ -128,15 +124,17 @@ def min_distance_enumerate(
 
     Tries direct enumeration of the code, then enumeration of its dual
     followed by a MacWilliams transform; otherwise falls back to a
-    bound-only result (d = None) unless that is disallowed.
+    bound-only result (d = None) unless that is disallowed.  `enumerated`
+    is the number of codewords accounted for, q^k or q^(n-k).
     """
     b = effective_budget(budget)
     q, n, k = code.q, code.n, code.dimension
     if method not in ("auto", "direct", "dual-macwilliams", "bound-only"):
         raise OutOfRange(f"unknown method {method!r}")
     if method in ("auto", "direct") and q**k <= b:
-        _, min_w, visited = _enumerate(t, code, b, want_counts=False)
-        return DistanceResult(d=min_w, method="direct-enum", enumerated=visited)
+        weights = np.flatnonzero(_weight_histogram(t, code, b))
+        d = int(weights[0]) if weights.size else None
+        return DistanceResult(d=d, method="direct-enum", enumerated=q**k)
     if method in ("auto", "dual-macwilliams") and q ** (n - k) <= b:
         dual = bch.dual_code(t, code)
         wd = weight_enumerator(t, dual, b)
@@ -150,9 +148,10 @@ def min_distance_enumerate(
 def macwilliams_transform(w: WeightEnumerator, q: int, k_dual: int) -> WeightEnumerator:
     """Exact weight enumerator of the dual of a code with enumerator w.
 
-    B_j = q^(-k) * sum_i A_i * K_j(i), with the Krawtchouk kernel
-    K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s).  Non-integer or
-    negative counts indicate a broken input enumerator.
+    B_j = q^(-k) * sum_i A_i * K_j(i).  For each i the Krawtchouk values
+    follow, from K_-1(i) = 0 and K_0(i) = 1, the recurrence
+    (j+1) K_{j+1}(i) = ((n-j)(q-1) + j - q i) K_j(i) - (q-1)(n-j+1) K_{j-1}(i).
+    Non-integer or negative counts indicate a broken input enumerator.
     """
     n = w.n
     total = sum(w.counts)
@@ -160,20 +159,19 @@ def macwilliams_transform(w: WeightEnumerator, q: int, k_dual: int) -> WeightEnu
         raise NonIntegerTransform("input is not a weight enumerator (A_0 must be 1)")
     if total * q**k_dual != q**n:
         raise NonIntegerTransform(f"sum A_i = {total} inconsistent with an [n={n}, k={n - k_dual}] code over GF({q})")
+    acc = [0] * (n + 1)
+    for i, a in enumerate(w.counts):
+        if a == 0:
+            continue
+        prev, kern = 0, 1
+        for j in range(n + 1):
+            acc[j] += a * kern
+            prev, kern = kern, (((n - j) * (q - 1) + j - q * i) * kern - (q - 1) * (n - j + 1) * prev) // (j + 1)
     out = []
-    for j in range(n + 1):
-        acc = 0
-        for i, a in enumerate(w.counts):
-            if a == 0:
-                continue
-            kern = 0
-            for s in range(j + 1):
-                term = (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
-                kern += -term if s & 1 else term
-            acc += a * kern
-        b, rem = divmod(acc, total)
+    for j, s in enumerate(acc):
+        b, rem = divmod(s, total)
         if rem or b < 0:
-            raise NonIntegerTransform(f"B_{j} = {acc}/{total} is not a nonnegative integer")
+            raise NonIntegerTransform(f"B_{j} = {s}/{total} is not a nonnegative integer")
         out.append(b)
     return WeightEnumerator(n=n, counts=tuple(out))
 

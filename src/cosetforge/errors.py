@@ -70,3 +70,7 @@ class UnknownClaim(CosetForgeError, KeyError):
 
 class GridTooLarge(CosetForgeError, ValueError):
     """A verification grid point exceeds the desk-scale guard."""
+
+
+class UsageError(CosetForgeError, ValueError):
+    """A malformed request, or one that selects nothing to run (CLI exit 2)."""

@@ -17,6 +17,7 @@ makes prime-field coefficients look like ordinary integers mod p.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -437,11 +438,15 @@ def _tower_add_raw(a: int, b: int, p: int) -> int:
     return out
 
 
+_TOWER_LOCK = threading.Lock()  # threads that miss tower_for together build once
+
+
 @lru_cache(maxsize=None)
 def tower_for(q: int, m: int) -> FieldTower:
     """Tower whose subfield is GF(q) and whose top field is GF(q^m)."""
     p, e = prime_power(q)
-    return build_tower(p, e, m)
+    with _TOWER_LOCK:
+        return build_tower(p, e, m)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import bch, cosets, distance, gf
-from .errors import GridTooLarge, UnknownClaim
+from .errors import GridTooLarge, UnknownClaim, UsageError
 
 # default parameter grids (pairs (q, m)); larger m only where sieves stay cheap
 PLUS_PAIRS = ((2, 4), (2, 6), (2, 8), (3, 4), (3, 6), (3, 8), (4, 4), (4, 6), (5, 4), (5, 6), (7, 4), (7, 6))
@@ -85,6 +85,11 @@ def _pair_ok(q: int, m: int, kind: str) -> bool:
 def _pairs_for(claim: Claim, grid: dict | None) -> tuple:
     if not grid:
         return claim.default_pairs
+    unknown = sorted(set(grid) - {"q", "m"})
+    if unknown:
+        raise UsageError(f"unknown grid keys {unknown}, expected q and/or m")
+    if not all(isinstance(v, int) for values in grid.values() for v in values):
+        raise UsageError(f"grid values must be integers, got {grid}")
     qs = grid.get("q")
     ms = grid.get("m")
     base = claim.default_pairs
@@ -433,14 +438,9 @@ def list_claims() -> tuple[Claim, ...]:
     return _CLAIMS
 
 
-def verify_claim(claim_id: str, grid: dict | None = None, budget: int | None = None) -> ClaimReport:
-    if claim_id not in _BY_ID:
-        raise UnknownClaim(claim_id)
-    claim = _BY_ID[claim_id]
-    pairs = _pairs_for(claim, grid)
-    b = distance.effective_budget(budget)
+def _run(claim: Claim, pairs: tuple, budget: int) -> ClaimReport:
     start = time.monotonic()
-    points = claim.checker(pairs, b)
+    points = claim.checker(pairs, budget)
     elapsed = int((time.monotonic() - start) * 1000)
     summary = {"pass": 0, "fail": 0, "skip": 0, "flag": 0}
     for p in points:
@@ -449,10 +449,28 @@ def verify_claim(claim_id: str, grid: dict | None = None, budget: int | None = N
     return ClaimReport(claim_id=claim.id, statement=claim.statement, points=points, summary=summary, wall_time_ms=elapsed)
 
 
+def verify_claim(claim_id: str, grid: dict | None = None, budget: int | None = None) -> ClaimReport:
+    """Run one claim; UsageError if the grid selects no valid pair for it."""
+    if claim_id not in _BY_ID:
+        raise UnknownClaim(claim_id)
+    claim = _BY_ID[claim_id]
+    pairs = _pairs_for(claim, grid)
+    if not pairs:
+        raise UsageError(f"grid {grid} selects no valid (q, m) pair for {claim_id}")
+    return _run(claim, pairs, distance.effective_budget(budget))
+
+
 def verify_all(grid: dict | None = None, budget: int | None = None, threads: int = 1) -> list[ClaimReport]:
-    """Run every claim; report order always follows the registry."""
-    ids = [c.id for c in _CLAIMS]
+    """Run every claim; report order always follows the registry.
+
+    A claim whose kind the grid excludes reports no points; UsageError if
+    the grid selects no valid pair for any claim.
+    """
+    plan = [(c, _pairs_for(c, grid)) for c in _CLAIMS]
+    if not any(pairs for _, pairs in plan):
+        raise UsageError(f"grid {grid} selects no valid (q, m) pair for any claim")
+    b = distance.effective_budget(budget)
     if threads <= 1:
-        return [verify_claim(i, grid, budget) for i in ids]
+        return [_run(c, pairs, b) for c, pairs in plan]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda i: verify_claim(i, grid, budget), ids))
+        return list(pool.map(lambda cp: _run(*cp, b), plan))

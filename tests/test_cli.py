@@ -132,3 +132,41 @@ def test_verify_all_small_grid(capsys):
     doc = json.loads(out)
     assert rc == 0 and doc["ok"] is True
     assert len(doc["claims"]) == 17
+
+
+def test_bad_budget_exit_code(capsys, monkeypatch):
+    code_argv = ("code", "--q", "3", "--m", "4", "--family", "plus", "--delta", "11", "--true-distance")
+    rc, out, err = run_cli(capsys, *code_argv, "--max-codewords", "-1")
+    assert rc == 1 and "budget" in err and not out
+    rc, out, err = run_cli(capsys, "verify", "--claim", "CLM-T1", "--grid", "q=3,m=4", "--max-codewords", "-1")
+    assert rc == 1 and "budget" in err and not out
+    monkeypatch.setenv("COSETFORGE_BUDGET", "abc")
+    rc, out, err = run_cli(capsys, *code_argv)
+    assert rc == 1 and "COSETFORGE_BUDGET" in err and not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--claim", "CLM-D1P", "--grid", "q=a"),
+        ("--claim", "CLM-D1P", "--grid", "q=3|"),
+        ("--claim", "CLM-D1P", "--grid", "m"),
+        ("--claim", "CLM-D1P", "--grid", "x=3"),
+        ("--all", "--grid", "q=3,x=3"),
+        ("--all", "--grid", "q=6"),
+        ("--claim", "CLM-T5", "--grid", "q=2"),  # the minus family needs q >= 3
+    ],
+)
+def test_bad_grid_is_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, "verify", *argv)
+    assert rc == 2 and err.startswith("error: ") and not out
+
+
+def test_grid_pair_filtered_by_checker_still_succeeds(capsys):
+    # (2, 4) is a valid plus pair, but CLM-T3 only covers q > 2: zero points, exit 0
+    rc, out, _ = run_cli(capsys, "verify", "--claim", "CLM-T3", "--grid", "q=2,m=4")
+    assert rc == 0 and json.loads(out)["summary"]["total"] == 0
+    rc, out, _ = run_cli(capsys, "verify", "--all", "--grid", "q=2,m=4")
+    doc = json.loads(out)
+    assert rc == 0 and doc["ok"] is True and len(doc["claims"]) == 17
+    assert {c["claim"] for c in doc["claims"] if not c["points"]} >= {"CLM-T3", "CLM-LB1002", "CLM-T5"}

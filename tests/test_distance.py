@@ -1,15 +1,19 @@
 """Distance enumeration, MacWilliams transform, and closed-form dual bounds.
 
-The naive oracle below multiplies message polynomials by the generator with
-plain table arithmetic and never touches the vectorized enumeration path.
+The naive oracles below never touch the library's fast paths: one multiplies
+every message polynomial by the generator with plain table arithmetic, the
+other applies the MacWilliams identity with the Krawtchouk triple sum.
 """
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetforge import bch, distance, gf
-from cosetforge.errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntegerTransform
+from cosetforge.errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntegerTransform, OutOfRange
 
 
 def naive_weights(t, code):
@@ -28,6 +32,37 @@ def naive_weights(t, code):
                     word[(i + j) % n] = F.add(word[(i + j) % n], F.mul(mc, c))
         counts[sum(1 for x in word if x)] += 1
     return counts
+
+
+def naive_macwilliams(counts, q):
+    """B_j = sum_i A_i K_j(i) / |C| with K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s)."""
+    n = len(counts) - 1
+    out = []
+    for j in range(n + 1):
+        acc = 0
+        for i, a in enumerate(counts):
+            kern = sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s) for s in range(j + 1))
+            acc += a * kern
+        b, rem = divmod(acc, sum(counts))
+        assert rem == 0 and b >= 0
+        out.append(b)
+    return out
+
+
+def full_code(t, n):
+    """The k = 0 cyclic code: every residue is a root, so the generator is x^n - 1."""
+    ds = bch._make_defining_set(t.q, n, set(range(n)))
+    return bch.CyclicCode(q=t.q, n=n, genpoly=bch.generator_polynomial(t, ds), defining=ds, dimension=0)
+
+
+# (q, m, n, delta): k from 0 to 12; q = 9 is an odd-characteristic extension field
+ORACLE_CODES = [
+    (2, 6, 21, 9), (2, 6, 21, 5), (2, 6, 21, 10),
+    (3, 4, 20, 11), (3, 4, 16, 5), (3, 4, 16, 11),
+    (4, 4, 51, 35), (4, 3, 21, 10), (4, 3, 21, 15),
+    (9, 2, 10, 4), (9, 2, 20, 12), (9, 2, 16, 9), (9, 2, 10, 6),
+    (2, 6, 21, None), (9, 2, 10, None),
+]
 
 
 def test_repetition_style_code_distance():
@@ -61,15 +96,35 @@ def test_zero_code_enumerator():
     assert distance.min_distance_enumerate(t, code, method="direct").d is None
 
 
-@pytest.mark.parametrize("q,m,n,delta", [(3, 4, 20, 11), (2, 6, 21, 9), (4, 4, 51, 35)])
-def test_enumerator_matches_naive_oracle(q, m, n, delta):
+def check_against_oracle(q, m, n, delta):
     t = gf.tower_for(q, m)
-    code = bch.bch_code(t, n, delta)
+    code = full_code(t, n) if delta is None else bch.bch_code(t, n, delta)
+    oracle = naive_weights(t, code)
     we = distance.weight_enumerator(t, code)
-    assert list(we.counts) == naive_weights(t, code)
+    assert list(we.counts) == oracle
     assert sum(we.counts) == q**code.dimension
     res = distance.min_distance_enumerate(t, code, method="direct")
-    assert res.d == we.min_positive_weight()
+    assert res.d == next((w for w in range(1, n + 1) if oracle[w]), None)
+    assert res.enumerated == q**code.dimension
+
+
+@pytest.mark.parametrize("q,m,n,delta", ORACLE_CODES)
+def test_enumerator_matches_naive_oracle(q, m, n, delta):
+    check_against_oracle(q, m, n, delta)
+
+
+@pytest.mark.parametrize("table_entries", [0, 64])
+@pytest.mark.parametrize("q,m,n,delta", [(2, 6, 21, 5), (3, 4, 16, 5), (4, 3, 21, 10), (9, 2, 10, 4), (9, 2, 10, 6)])
+def test_enumerator_with_tiny_tables_matches_naive_oracle(q, m, n, delta, table_entries, monkeypatch):
+    monkeypatch.setattr(distance, "_TABLE_ENTRIES", table_entries)  # many blocks, both halves split
+    check_against_oracle(q, m, n, delta)
+
+
+def test_enumerator_on_duals_matches_naive_oracle():
+    for q, m, n, delta in [(3, 4, 20, 2), (9, 2, 20, 3), (4, 3, 21, 3)]:
+        t = gf.tower_for(q, m)
+        dual = bch.dual_code(t, bch.bch_code(t, n, delta))
+        assert list(distance.weight_enumerator(t, dual).counts) == naive_weights(t, dual)
 
 
 def test_macwilliams_classic_pair():
@@ -98,6 +153,31 @@ def test_macwilliams_matches_direct_dual_enumeration():
         w_direct = distance.weight_enumerator(t, dual, budget=2 * 10**6)
         w_transform = distance.macwilliams_transform(distance.weight_enumerator(t, code), q, k_dual=dual.dimension)
         assert w_direct.counts == w_transform.counts
+
+
+@pytest.mark.parametrize("q,m,n,delta", [(2, 6, 21, 9), (3, 4, 20, 11), (9, 2, 10, 4), (4, 4, 51, 35)])
+def test_macwilliams_recurrence_matches_triple_sum(q, m, n, delta):
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, delta)
+    w = distance.weight_enumerator(t, code)
+    got = distance.macwilliams_transform(w, q, k_dual=n - code.dimension)
+    assert list(got.counts) == naive_macwilliams(list(w.counts), q)
+
+
+SMALL_TOWERS = [(2, 4, 15), (2, 6, 21), (3, 4, 20), (3, 4, 16), (4, 3, 21), (5, 2, 12), (7, 2, 8), (8, 2, 9), (9, 2, 10)]  # q^min(k, n-k) <= 4^10
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_TOWERS), st.data())
+def test_macwilliams_involution_property(tower, data):
+    q, m, n = tower
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, data.draw(st.integers(2, n), label="delta"))
+    side = code if code.dimension <= n - code.dimension else bch.dual_code(t, code)
+    w = distance.weight_enumerator(t, side)
+    other = distance.macwilliams_transform(w, q, k_dual=n - side.dimension)
+    assert other.counts[0] == 1 and sum(other.counts) == q ** (n - side.dimension)
+    assert distance.macwilliams_transform(other, q, k_dual=side.dimension).counts == w.counts
 
 
 def test_macwilliams_rejects_garbage():
@@ -134,6 +214,17 @@ def test_effective_budget(monkeypatch):
     monkeypatch.setenv(distance.BUDGET_ENV_VAR, "5000")
     assert distance.effective_budget() == 5000
     assert distance.effective_budget(7) == 7
+    assert distance.effective_budget(0) == 0
+
+
+@pytest.mark.parametrize("env,budget", [("abc", None), ("1e6", None), ("-5", None), ("5000", -1), (None, -1)])
+def test_effective_budget_rejects_bad_values(monkeypatch, env, budget):
+    if env is None:
+        monkeypatch.delenv(distance.BUDGET_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(distance.BUDGET_ENV_VAR, env)
+    with pytest.raises(OutOfRange):
+        distance.effective_budget(budget)
 
 
 def test_dual_bound_closed_form_examples():

@@ -1,11 +1,13 @@
 """Claim registry behaviour: membership, oracle agreement, determinism."""
 
 import json
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from cosetforge import verify
-from cosetforge.errors import GridTooLarge, UnknownClaim
+from cosetforge import gf, verify
+from cosetforge.errors import GridTooLarge, UnknownClaim, UsageError
 
 ALL_IDS = [
     "CLM-QM1", "CLM-LIFT", "CLM-D1P", "CLM-SZP", "CLM-T1", "CLM-FAM", "CLM-2ND4",
@@ -122,3 +124,38 @@ def test_points_are_json_serializable():
         rep = verify.verify_claim(cid, grid={"q": [3], "m": [4]})
         json.dumps(rep.to_dict())
         assert rep.ok()
+
+
+def test_grid_validation():
+    with pytest.raises(UsageError):
+        verify.verify_claim("CLM-D1P", grid={"q": [3], "x": [4]})
+    with pytest.raises(UsageError):
+        verify.verify_claim("CLM-D1P", grid={"q": ["3"]})
+    with pytest.raises(UsageError):
+        verify.verify_claim("CLM-THETA", grid={"q": [2], "m": [4]})
+    with pytest.raises(UsageError):
+        verify.verify_all(grid={"q": [6]})
+
+
+def test_tower_built_once_under_threads(monkeypatch):
+    search = gf._smallest_primitive_modulus
+
+    def slow_search(p, d):  # widen the window in which two threads can miss together
+        time.sleep(0.2)
+        return search(p, d)
+
+    monkeypatch.setattr(gf, "_smallest_primitive_modulus", slow_search)
+    gf.tower_for.cache_clear()
+    gf.build_tower.cache_clear()
+    # budget 100 skips CLM-T1's enumeration, so CLM-B1002 and CLM-LB1002, which
+    # run side by side, are the first to ask for the (3, 4) and (5, 4) towers
+    verify.verify_all(grid={"q": [3, 5], "m": [4]}, budget=100, threads=2)
+    assert gf.build_tower.cache_info().misses == 2
+    # more threads than cores, all missing the same tower at once
+    gf.tower_for.cache_clear()
+    gf.build_tower.cache_clear()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(gf.tower_for, 7, 4) for _ in range(8)]
+        towers = [f.result(timeout=60) for f in futures]
+    assert gf.build_tower.cache_info().misses == 1
+    assert all(t is towers[0] for t in towers)
