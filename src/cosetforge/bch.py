@@ -87,16 +87,6 @@ class BchCode:
     bch_bound: int
 
 
-def _leader_of(q: int, n: int, s: int) -> int:
-    lead = s
-    x = s * q % n
-    while x != s:
-        if x < lead:
-            lead = x
-        x = x * q % n
-    return lead
-
-
 def _make_defining_set(q: int, n: int, exps: set[int]) -> DefiningSet:
     sources = set()
     seen: set[int] = set()
@@ -137,6 +127,7 @@ def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
 def dual_defining_set(ds: DefiningSet) -> DefiningSet:
     """T_perp = Z_n \\ T^{-1}; coset-closed because T is."""
     n = ds.n
+    cosets.check_table_size(n)
     inv = {(n - i) % n for i in ds.exponents}
     return _make_defining_set(ds.q, n, set(range(n)) - inv)
 

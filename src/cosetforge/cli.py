@@ -188,15 +188,7 @@ def _cmd_dually_bch(args) -> tuple[dict, int]:
     if args.sweep:
         verdicts = bch.dually_bch_sweep(args.q, n)
         sweep = [{"delta": d, "verdict": bool(v)} for d, v in zip(range(2, n + 1), verdicts)]
-        intervals = []
-        for entry in sweep:
-            if entry["verdict"]:
-                d = entry["delta"]
-                if intervals and intervals[-1][1] == d - 1:
-                    intervals[-1][1] = d
-                else:
-                    intervals.append([d, d])
-        base.update({"sweep": sweep, "true_intervals": intervals})
+        base.update({"sweep": sweep, "true_intervals": verify._intervals(verdicts, 2)})
         return base, 0
     if args.delta is None:
         raise CosetForgeError("need --delta or --sweep")

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FamilyConstraint, NotCoprime, NotDivisible, OutOfRange
+from .errors import ORDER_GUARD, FamilyConstraint, NotCoprime, NotDivisible, OrderTooLarge, OutOfRange
 
 PLUS = "plus"
 MINUS = "minus"
@@ -67,6 +67,12 @@ def _check_coprime(q: int, n: int) -> None:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
 
 
+def check_table_size(n: int) -> None:
+    """Raise OrderTooLarge when a table over the n residues would exceed ORDER_GUARD."""
+    if n > ORDER_GUARD:
+        raise OrderTooLarge(f"n = {n} exceeds the table-size guard {ORDER_GUARD}")
+
+
 def cyclotomic_coset(q: int, n: int, s: int) -> CyclotomicCoset:
     """Return the q-cyclotomic coset of s modulo n."""
     _check_coprime(q, n)
@@ -84,6 +90,7 @@ def cyclotomic_coset(q: int, n: int, s: int) -> CyclotomicCoset:
 def coset_leaders(q: int, n: int) -> tuple[int, ...]:
     """All coset leaders modulo n, ascending (one representative per orbit)."""
     _check_coprime(q, n)
+    check_table_size(n)
     seen = bytearray(n)
     leaders = []
     for s in range(n):
@@ -101,6 +108,7 @@ def coset_leaders(q: int, n: int) -> tuple[int, ...]:
 def leader_map(q: int, n: int) -> np.ndarray:
     """Array L with L[x] = coset leader of x modulo n, for all residues x."""
     _check_coprime(q, n)
+    check_table_size(n)
     out = np.full(n, -1, dtype=np.int64)
     for s in range(n):
         if out[s] >= 0:

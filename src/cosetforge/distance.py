@@ -87,7 +87,7 @@ def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
     dt = np.min_scalar_type(q - 1)
     add = np.asarray(t.q_add, dtype=dt)
     mul = np.asarray(t.q_mul, dtype=dt)
-    neg = np.nonzero(add == 0)[1].astype(dt)  # add[a, neg[a]] == 0
+    neg = np.asarray(t.q_neg, dtype=dt)
     g = np.zeros(n, dtype=dt)
     g[: len(code.genpoly.coeffs)] = code.genpoly.coeffs
     assert g[0], "the generator of a cyclic code has g_0 != 0"

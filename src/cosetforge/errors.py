@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types, and the table-size guard, shared across the package."""
+
+# Largest field order or modulus n given a full table (field tables, leader
+# maps, residue sets).  A 2^26-element tower builds in about 35 s with
+# 0.55 GB resident on a 2-vCPU Xeon VM; 2^27 would need 1 GiB for its two
+# int32 tables alone.
+ORDER_GUARD = 2**26
 
 
 class CosetForgeError(Exception):
@@ -10,7 +16,7 @@ class NotPrime(CosetForgeError, ValueError):
 
 
 class OrderTooLarge(CosetForgeError, ValueError):
-    """Requested field order exceeds the table-size guard (2**26)."""
+    """Field order or modulus n exceeds ORDER_GUARD, the table-size guard."""
 
 
 class LevelMismatch(CosetForgeError, ValueError):

@@ -7,11 +7,16 @@ polynomial of its degree in the deterministic search order (coefficient
 vector read as a base-p integer, constant term least significant), so
 towers are reproducible across runs.
 
-Multiplication, inversion and powering go through discrete-log tables
-keyed by alpha; addition is digit-wise mod p.  The subfield GF(q) is the
-span of omega = alpha^g with g = (p^(e*m)-1)/(q-1); its elements are
-re-expressed as integers in [0, q) over the power basis of omega, which
-makes prime-field coefficients look like ordinary integers mod p.
+Multiplication, inversion and powering go through int32 discrete-log tables
+keyed by alpha, built by doubling: alpha^L..alpha^(2L-1) are the base-p
+digit rows of alpha^0..alpha^(L-1) times the matrix of multiplication by
+alpha^L, mod p, in fixed-size row blocks.  Addition is digit-wise mod p in
+`FieldTower.add`, the one digit loop; a GF(p) constant c is the integer c,
+so negation is multiplication by p-1.  The subfield GF(q) is the span of
+omega = alpha^g with g = (p^(e*m)-1)/(q-1); its elements are re-expressed
+as integers in [0, q) over the power basis of omega, which makes
+prime-field coefficients look like ordinary integers mod p, so GF(p) and
+GF(q) share the q x q tables.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 
 from . import cosets
 from .errors import (
+    ORDER_GUARD,
     CoefficientEscape,
     LevelMismatch,
     ModByZero,
@@ -34,8 +40,6 @@ from .errors import (
     OrderTooLarge,
     OutOfRange,
 )
-
-ORDER_GUARD = 2**26
 
 
 class Level(Enum):
@@ -156,6 +160,39 @@ def _smallest_primitive_modulus(p: int, d: int) -> tuple[int, ...]:
 # the tower
 # --------------------------------------------------------------------------
 
+_BLOCK_ROWS = 4096  # rows per digit-matrix product in the table build; temporaries stay near 1 MB
+
+
+def _power_tables(p: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """int32 antilog[j] = alpha^j for j < p^d - 1 and its inverse log (log[0] = -1).
+
+    Filled by doubling: with alpha^0..alpha^(L-1) known, alpha^(L+j) is the
+    base-p digit row of alpha^j times the d x d matrix of multiplication by
+    alpha^L, mod p; the matrix is then squared.  The float64 products stay
+    below d*p^2 and the int32 values below p^d, so both are exact.
+    """
+    d = len(modulus) - 1
+    group = p**d - 1
+    place = p ** np.arange(d, dtype=np.int32)
+    step = np.zeros((d, d))  # row i: digits of x^i * alpha^L, here L = 1
+    step[np.arange(d - 1), np.arange(1, d)] = 1
+    step[d - 1] = [-c % p for c in modulus[:d]]
+    antilog = np.empty(group, dtype=np.int32)
+    log = np.full(group + 1, -1, dtype=np.int32)
+    antilog[0], log[1] = 1, 0
+    known = 1
+    while known < group:
+        count = min(known, group - known)
+        for lo in range(0, count, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, count)
+            digits = antilog[lo:hi, None] // place % p
+            vals = (digits @ step).astype(np.int32) % p @ place
+            antilog[known + lo : known + hi] = vals
+            log[vals] = np.arange(known + lo, known + hi, dtype=np.int32)
+        step = step @ step % p
+        known += count
+    return antilog, log
+
 
 @dataclass(frozen=True, eq=False)
 class FieldTower:
@@ -169,9 +206,14 @@ class FieldTower:
         p**(e*m), the size of the top field.
     subfield_gen_exp : int
         g with alpha^g a generator of GF(q)*, g = (order-1)/(q-1).
-    antilog, log : numpy arrays
+    antilog, log : int32 numpy arrays
         antilog[j] = alpha^j for 0 <= j < order-1; log is its inverse
         (log[0] is a -1 sentinel).
+    subfield_to_tower, tower_to_subfield
+        GF(q) index -> top-field element, and back.
+    q_add, q_mul, q_inv, q_neg : int32 numpy arrays
+        GF(q) operations on indices; they serve GF(p) too, whose indices
+        are 0..p-1.
     """
 
     p: int
@@ -183,11 +225,30 @@ class FieldTower:
     subfield_gen_exp: int
     antilog: np.ndarray = field(repr=False)
     log: np.ndarray = field(repr=False)
-    subfield_to_tower: tuple[int, ...] = field(repr=False)
-    tower_to_subfield: dict = field(repr=False)
-    q_add: np.ndarray = field(repr=False)
-    q_mul: np.ndarray = field(repr=False)
-    q_inv: np.ndarray = field(repr=False)
+    subfield_to_tower: tuple[int, ...] = field(init=False, repr=False)
+    tower_to_subfield: dict = field(init=False, repr=False)
+    q_add: np.ndarray = field(init=False, repr=False)
+    q_mul: np.ndarray = field(init=False, repr=False)
+    q_inv: np.ndarray = field(init=False, repr=False)
+    q_neg: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # index sum(c_i p^i) names sum(c_i omega^i); the GF(p) constant c is the integer c
+        embed = [0]
+        for i in range(self.e):
+            w = int(self.antilog[self.subfield_gen_exp * i])
+            embed = [self.add(self.mul(c, w), v) for c in range(self.p) for v in embed]
+        index = {v: i for i, v in enumerate(embed)}
+
+        def table(values):
+            return np.array([index[v] for v in values], dtype=np.int32)
+
+        object.__setattr__(self, "subfield_to_tower", tuple(embed))
+        object.__setattr__(self, "tower_to_subfield", index)
+        object.__setattr__(self, "q_add", table([self.add(a, b) for a in embed for b in embed]).reshape(self.q, self.q))
+        object.__setattr__(self, "q_mul", table([self.mul(a, b) for a in embed for b in embed]).reshape(self.q, self.q))
+        object.__setattr__(self, "q_inv", table([0] + [self.inv(a) for a in embed[1:]]))
+        object.__setattr__(self, "q_neg", table([self.neg(a) for a in embed]))
 
     # -- top-field element ops (integers in [0, order)) --------------------
 
@@ -209,16 +270,7 @@ class FieldTower:
         return out
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) % p * mult
-            a //= p
-            mult *= p
-        return out
+        return self.mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -267,45 +319,20 @@ class FieldTower:
     def q_pow(self, idx: int, k: int) -> int:
         return self.project_subfield(self.pow(self.embed_subfield(idx), k))
 
-    def arith(self, level: Level) -> "_Arith":
-        if level is Level.GFP:
-            return _PrimeArith(self.p)
-        if level is Level.GFQ:
-            return _SubfieldArith(self)
-        return _TowerArith(self)
-
-
-class _PrimeArith:
-    def __init__(self, p: int):
-        self.size = p
-        self._p = p
-
-    def add(self, a, b):
-        return (a + b) % self._p
-
-    def sub(self, a, b):
-        return (a - b) % self._p
-
-    def mul(self, a, b):
-        return a * b % self._p
-
-    def inv(self, a):
-        if a % self._p == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, -1, self._p)
+    def arith(self, level: Level):
+        """add/sub/mul/inv at one level: the GF(q) tables serve GF(p) and GF(q)."""
+        return self if level is Level.GFQM else _SubfieldArith(self)
 
 
 class _SubfieldArith:
     def __init__(self, t: FieldTower):
-        self.size = t.q
         self._t = t
 
     def add(self, a, b):
         return int(self._t.q_add[a, b])
 
     def sub(self, a, b):
-        t = self._t
-        return int(t.q_add[a, t.project_subfield(t.neg(t.embed_subfield(b)))])
+        return int(self._t.q_add[a, self._t.q_neg[b]])
 
     def mul(self, a, b):
         return int(self._t.q_mul[a, b])
@@ -314,35 +341,6 @@ class _SubfieldArith:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self._t.q_inv[a])
-
-
-class _TowerArith:
-    def __init__(self, t: FieldTower):
-        self.size = t.order
-        self._t = t
-
-    def add(self, a, b):
-        return self._t.add(a, b)
-
-    def sub(self, a, b):
-        return self._t.sub(a, b)
-
-    def mul(self, a, b):
-        return self._t.mul(a, b)
-
-    def inv(self, a):
-        return self._t.inv(a)
-
-
-def _scale_digits(value: int, c: int, p: int) -> int:
-    # multiply every base-p digit by the prime-field scalar c
-    out = 0
-    mult = 1
-    while value:
-        out += value % p * c % p * mult
-        value //= p
-        mult *= p
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -358,84 +356,18 @@ def build_tower(p: int, e: int, m: int) -> FieldTower:
         raise OrderTooLarge(f"p^(e*m) = {order} exceeds the guard {ORDER_GUARD}")
     q = p**e
     modulus = _smallest_primitive_modulus(p, d)
-
-    antilog = np.zeros(order - 1, dtype=np.int64)
-    log = np.full(order, -1, dtype=np.int64)
-    digits = [0] * d
-    digits[0] = 1
-    powers = [p**i for i in range(d)]
-    for j in range(order - 1):
-        val = 0
-        for i in range(d):
-            if digits[i]:
-                val += digits[i] * powers[i]
-        antilog[j] = val
-        log[val] = j
-        # multiply by x and reduce by the monic modulus
-        carry = digits[d - 1]
-        for i in range(d - 1, 0, -1):
-            digits[i] = digits[i - 1]
-        digits[0] = 0
-        if carry:
-            for i in range(d):
-                digits[i] = (digits[i] - carry * modulus[i]) % p
-
-    g = (order - 1) // (q - 1)
-    omega_pows = [int(antilog[g * i % (order - 1)]) for i in range(e)]
-    sub_to_tower = []
-    for idx in range(q):
-        val = 0
-        x = idx
-        for i in range(e):
-            c = x % p
-            x //= p
-            if c:
-                acc = _scale_digits(omega_pows[i], c, p)
-                val = acc if val == 0 else _tower_add_raw(val, acc, p)
-        sub_to_tower.append(val)
-    tower_to_sub = {v: i for i, v in enumerate(sub_to_tower)}
-
-    q_add = np.zeros((q, q), dtype=np.int64)
-    q_mul = np.zeros((q, q), dtype=np.int64)
-    q_inv = np.zeros(q, dtype=np.int64)
-    tower = FieldTower(
+    antilog, log = _power_tables(p, modulus)
+    return FieldTower(
         p=p,
         e=e,
         m=m,
         modulus=modulus,
         order=order,
         q=q,
-        subfield_gen_exp=g,
+        subfield_gen_exp=(order - 1) // (q - 1),
         antilog=antilog,
         log=log,
-        subfield_to_tower=tuple(sub_to_tower),
-        tower_to_subfield=tower_to_sub,
-        q_add=q_add,
-        q_mul=q_mul,
-        q_inv=q_inv,
     )
-    for a in range(q):
-        va = sub_to_tower[a]
-        for b in range(q):
-            vb = sub_to_tower[b]
-            q_add[a, b] = tower_to_sub[tower.add(va, vb)]
-            q_mul[a, b] = tower_to_sub[tower.mul(va, vb)]
-        if a:
-            q_inv[a] = tower_to_sub[tower.inv(va)]
-    return tower
-
-
-def _tower_add_raw(a: int, b: int, p: int) -> int:
-    if p == 2:
-        return a ^ b
-    out = 0
-    mult = 1
-    while a or b:
-        out += (a % p + b % p) % p * mult
-        a //= p
-        b //= p
-        mult *= p
-    return out
 
 
 _TOWER_LOCK = threading.Lock()  # threads that miss tower_for together build once

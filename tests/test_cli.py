@@ -170,3 +170,19 @@ def test_grid_pair_filtered_by_checker_still_succeeds(capsys):
     doc = json.loads(out)
     assert rc == 0 and doc["ok"] is True and len(doc["claims"]) == 17
     assert {c["claim"] for c in doc["claims"] if not c["points"]} >= {"CLM-T3", "CLM-LB1002", "CLM-T5"}
+
+
+HUGE = ["--q", "3", "--m", "40", "--family", "plus"]  # n = (3^40 - 1)/4, about 3e18
+
+
+@pytest.mark.parametrize("argv", [["cosets", *HUGE, "--top", "3"], ["dually-bch", *HUGE, "--sweep"], ["dually-bch", *HUGE, "--delta", "5"]])
+def test_huge_modulus_is_domain_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert "exceeds the table-size guard" in err
+
+
+def test_single_coset_at_huge_modulus(capsys):
+    rc, out, _ = run_cli(capsys, "cosets", *HUGE, "--coset", "1", "--max-elements", "0")
+    assert rc == 0
+    assert json.loads(out) == {"leader": 1, "n": (3**40 - 1) // 4, "q": 3, "size": 40}

@@ -6,7 +6,10 @@ multiplication, closure checks), or checked structurally (divisibility,
 degrees, Frobenius stability).
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetforge import cosets, gf
 from cosetforge.errors import (
@@ -198,3 +201,105 @@ def test_tower_determinism():
     a = gf.build_tower.__wrapped__(2, 1, 4)
     b = gf.build_tower.__wrapped__(2, 1, 4)
     assert a.modulus == b.modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
+
+
+def _sequential_tower(p, e, m):
+    """Reference tables: step alpha^j -> alpha^(j+1) by multiplying digit vectors
+    by x one at a time, with digit-wise sums, negations and GF(p) scalings."""
+    d = e * m
+    order, q = p**d, p**e
+    modulus = gf._smallest_primitive_modulus(p, d)
+
+    def to_digits(v):
+        return [v // p**i % p for i in range(d)]
+
+    def from_digits(ds):
+        return sum(c * p**i for i, c in enumerate(ds))
+
+    antilog, log = [], {}
+    digits = [1] + [0] * (d - 1)
+    for j in range(order - 1):
+        val = from_digits(digits)
+        antilog.append(val)
+        log[val] = j
+        carry, digits = digits[-1], [0] + digits[:-1]
+        digits = [(c - carry * r) % p for c, r in zip(digits, modulus)]
+
+    def add(a, b):
+        return from_digits([(x + y) % p for x, y in zip(to_digits(a), to_digits(b))])
+
+    def mul(a, b):
+        return 0 if a == 0 or b == 0 else antilog[(log[a] + log[b]) % (order - 1)]
+
+    g = (order - 1) // (q - 1)
+    embed = []
+    for idx in range(q):
+        acc = 0
+        for i in range(e):
+            c = idx // p**i % p
+            acc = add(acc, from_digits([c * x % p for x in to_digits(antilog[g * i])]))
+        embed.append(acc)
+    index = {v: i for i, v in enumerate(embed)}
+    return {
+        "antilog": antilog,
+        "log": [-1] + [log[v] for v in range(1, order)],
+        "subfield_to_tower": tuple(embed),
+        "tower_to_subfield": index,
+        "q_add": [[index[add(a, b)] for b in embed] for a in embed],
+        "q_mul": [[index[mul(a, b)] for b in embed] for a in embed],
+        "q_inv": [0] + [index[antilog[-log[a] % (order - 1)]] for a in embed[1:]],
+        "q_neg": [index[from_digits([-c % p for c in to_digits(a)])] for a in embed],
+    }
+
+
+# p in {2, 3, 5, 7} x e in {1, 2, 3}; three towers of order >= 2^16
+DIFF_TOWERS = [
+    (2, 1, 16), (2, 2, 3), (2, 3, 4),
+    (3, 1, 4), (3, 2, 3), (3, 3, 2),
+    (5, 1, 7), (5, 2, 2), (5, 3, 1),
+    (7, 1, 6), (7, 2, 2), (7, 3, 1),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("p,e,m", DIFF_TOWERS)
+def test_tables_match_sequential_build(p, e, m, block, monkeypatch):
+    if block is not None:  # many blocks per doubling step
+        monkeypatch.setattr(gf, "_BLOCK_ROWS", block)
+    t = gf.build_tower.__wrapped__(p, e, m)
+    ref = _sequential_tower(p, e, m)
+    assert t.antilog.dtype == t.log.dtype == np.int32
+    for name, want in ref.items():
+        got = getattr(t, name)
+        if isinstance(got, np.ndarray):
+            assert got.tolist() == want, name
+        else:
+            assert got == want, name
+
+
+AXIOM_TOWERS = [(2, 1, 4), (2, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (7, 1, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(AXIOM_TOWERS), st.data())
+def test_field_axioms_property(pem, data):
+    t = gf.build_tower(*pem)
+    for level, size in ((gf.Level.GFQM, t.order), (gf.Level.GFQ, t.q), (gf.Level.GFP, t.p)):
+        F = t.arith(level)
+        a, b, c = (data.draw(st.integers(0, size - 1), label=f"{level.value} operand") for _ in range(3))
+        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert F.add(a, b) == F.add(b, a) and F.mul(a, b) == F.mul(b, a)
+        assert F.add(a, F.sub(b, a)) == b
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
+    x = data.draw(st.integers(0, t.order - 1), label="top element")
+    assert t.add(x, t.neg(x)) == 0
+    i = data.draw(st.integers(0, t.q - 1), label="subfield index")
+    assert t.q_add[i, t.q_neg[i]] == 0
+    P = t.arith(gf.Level.GFP)
+    a, b = data.draw(st.integers(0, t.p - 1)), data.draw(st.integers(0, t.p - 1))
+    assert (P.add(a, b), P.sub(a, b), P.mul(a, b)) == ((a + b) % t.p, (a - b) % t.p, a * b % t.p)
+    if a:
+        assert P.inv(a) == pow(a, -1, t.p)
