@@ -7,6 +7,8 @@ T_perp = Z_n \\ T^{-1} with T^{-1} = {n - i mod n : i in T}.  A set is
 recognized as BCH when it equals the coset closure of a consecutive
 window {b, ..., b + delta - 2}; the scan anchors b at coset leaders
 (and 0), which keeps witnesses canonical and deterministic.
+Defining sets are boolean masks over ``cosets.leader_map``; ``recognize_bch``
+stays a scalar scan on purpose, as the independent check of the O(n) sweep.
 """
 
 from __future__ import annotations
@@ -87,23 +89,18 @@ class BchCode:
     bch_bound: int
 
 
-def _make_defining_set(q: int, n: int, exps: set[int]) -> DefiningSet:
-    sources = set()
-    seen: set[int] = set()
-    for x in exps:
-        if x in seen:
-            continue
-        lead = x
-        orbit = [x]
-        y = x * q % n
-        while y != x:
-            orbit.append(y)
-            if y < lead:
-                lead = y
-            y = y * q % n
-        seen.update(orbit)
-        sources.add(lead)
-    return DefiningSet(q=q, n=n, exponents=frozenset(exps), source_cosets=tuple(sorted(sources)))
+def _make_defining_set(q: int, n: int, mask: np.ndarray) -> DefiningSet:
+    """The residues x with mask[x]; mask must be coset-closed, so it holds its leaders."""
+    exps = np.flatnonzero(mask)
+    sources = exps[cosets.leader_map(q, n)[exps] == exps]
+    return DefiningSet(q=q, n=n, exponents=frozenset(exps.tolist()), source_cosets=tuple(sources.tolist()))
+
+
+def _mask(ds: DefiningSet) -> np.ndarray:
+    """Boolean array over Z_n marking the exponents of the set."""
+    mask = np.zeros(ds.n, dtype=bool)
+    mask[np.fromiter(ds.exponents, dtype=np.int64, count=ds.size)] = True
+    return mask
 
 
 def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
@@ -112,24 +109,16 @@ def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     if not 2 <= delta <= n:
         raise DeltaOutOfRange(f"delta={delta} outside [2, {n}]")
-    exps: set[int] = set()
-    for j in range(delta - 1):
-        s = (b + j) % n
-        if s in exps:
-            continue
-        x = s
-        while x not in exps:
-            exps.add(x)
-            x = x * q % n
-    return _make_defining_set(q, n, exps)
+    lead = cosets.leader_map(q, n)
+    hit = np.zeros(n, dtype=bool)  # hit[v]: the window meets the coset with leader v
+    hit[lead[(b % n + np.arange(delta - 1)) % n]] = True
+    return _make_defining_set(q, n, hit[lead])
 
 
 def dual_defining_set(ds: DefiningSet) -> DefiningSet:
     """T_perp = Z_n \\ T^{-1}; coset-closed because T is."""
-    n = ds.n
-    cosets.check_table_size(n)
-    inv = {(n - i) % n for i in ds.exponents}
-    return _make_defining_set(ds.q, n, set(range(n)) - inv)
+    cosets.check_table_size(ds.n)
+    return _make_defining_set(ds.q, ds.n, ~np.roll(_mask(ds)[::-1], 1))  # rolled reversal: x -> (n - x) mod n
 
 
 def bch_bound(ds: DefiningSet) -> int:
@@ -207,11 +196,16 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
     return Recognition(is_bch=True, witness=best, c0_anchored=c0)
 
 
-def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
-    """Whether the narrow-sense code of the family is dually-BCH at delta."""
+def dually_bch_length(q: int, m: int, family: str) -> int:
+    """Family length n of a point where the dually-BCH decision applies (m >= 4)."""
     if m < 4:
         raise FamilyConstraint(f"need m >= 4, got m={m}")
-    n = cosets.family_length(q, m, family)
+    return cosets.family_length(q, m, family)
+
+
+def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
+    """Whether the narrow-sense code of the family is dually-BCH at delta."""
+    n = dually_bch_length(q, m, family)
     tperp = dual_defining_set(defining_set(q, n, delta, 1))
     if not tperp.exponents:
         return DuallyBchResult(verdict=True, witness=None, tperp=tperp, empty_dual=True)
@@ -237,8 +231,7 @@ def _i_of_delta_table(q: int, n: int) -> np.ndarray:
     I(delta) = min{ i >= 1 : leader((n - i) mod n) in [1, delta-1] }, or n when
     no such i exists.  Built in O(n) from the leader map.
     """
-    lead = cosets.leader_map(q, n)
-    lrev = lead[(n - np.arange(n)) % n]
+    lrev = np.roll(cosets.leader_map(q, n)[::-1], 1)  # lrev[i] = leader((n - i) mod n)
     first = np.full(n + 1, n, dtype=np.int64)  # first[v] = min index i with lrev[i] = v
     idx = np.arange(n)
     mask = lrev >= 1
@@ -261,21 +254,17 @@ def i_of_delta_sweep(q: int, n: int, deltas) -> np.ndarray:
 
 
 def dually_bch_sweep(q: int, n: int) -> np.ndarray:
-    """Verdicts of the dually-BCH decision for every delta in [2, n].
+    """Verdicts of the dually-BCH decision for every delta in [2, n], in O(n).
 
-    For narrow-sense codes the dual defining set always contains 0 and never
-    n-1, so any BCH witness is forced to start at b = 0; the verdict reduces
-    to: the coset closure of {0, ..., I(delta)-1} equals T_perp.
+    For narrow-sense codes T_perp always contains 0 and never n-1, so any BCH
+    witness starts at b = 0: the verdict is closure({0..I(delta)-1}) = T_perp.
+    The closure lies in T_perp (coset-closed, and holding {0..I(delta)-1} by
+    the definition of I), so the sizes decide.  With cum[v] = |{x : leader(x)
+    <= v}| they are cum[I(delta)-1] and n - (cum[delta-1] - cum[0]).
     """
-    lead = np.asarray(cosets.leader_map(q, n))
-    lrev = lead[(n - np.arange(n)) % n]
-    table = _i_of_delta_table(q, n)
-    out = np.empty(n - 1, dtype=bool)
-    for j, delta in enumerate(range(2, n + 1)):
-        in_closure = lead < table[delta]
-        in_tperp = (lrev == 0) | (lrev >= delta)
-        out[j] = bool(np.array_equal(in_closure, in_tperp))
-    return out
+    cum = np.cumsum(np.bincount(cosets.leader_map(q, n), minlength=n))
+    deltas = np.arange(2, n + 1)
+    return cum[_i_of_delta_table(q, n)[deltas] - 1] == n - (cum[deltas - 1] - cum[0])
 
 
 # --------------------------------------------------------------------------
@@ -298,8 +287,7 @@ def _minpoly_product(t: gf.FieldTower, n: int, leaders) -> gf.Polynomial:
 
 
 def _complement_sources(ds: DefiningSet) -> tuple[int, ...]:
-    comp = set(range(ds.n)) - set(ds.exponents)
-    return _make_defining_set(ds.q, ds.n, comp).source_cosets
+    return _make_defining_set(ds.q, ds.n, ~_mask(ds)).source_cosets
 
 
 def generator_polynomial(t: gf.FieldTower, ds: DefiningSet) -> gf.Polynomial:

@@ -91,7 +91,7 @@ def _resolve_n(args) -> int:
         return args.n
     if args.family in cosets.FAMILIES and args.m is not None:
         return cosets.family_length(args.q, args.m, args.family)
-    raise CosetForgeError("need --n, or --m with --family plus/minus")
+    raise UsageError("need --n, or --m with --family plus/minus")
 
 
 def _parse_grid(spec: str | None) -> dict | None:
@@ -183,15 +183,15 @@ def _cmd_dual(args) -> tuple[dict, int]:
 
 
 def _cmd_dually_bch(args) -> tuple[dict, int]:
-    n = cosets.family_length(args.q, args.m, args.family)
+    if args.sweep == (args.delta is not None):
+        raise UsageError("need exactly one of --delta and --sweep")
+    n = bch.dually_bch_length(args.q, args.m, args.family)
     base = {"q": args.q, "m": args.m, "family": args.family, "n": n}
     if args.sweep:
         verdicts = bch.dually_bch_sweep(args.q, n)
         sweep = [{"delta": d, "verdict": bool(v)} for d, v in zip(range(2, n + 1), verdicts)]
         base.update({"sweep": sweep, "true_intervals": verify._intervals(verdicts, 2)})
         return base, 0
-    if args.delta is None:
-        raise CosetForgeError("need --delta or --sweep")
     res = bch.is_dually_bch(args.q, args.m, args.family, args.delta)
     base.update({"delta": args.delta, "verdict": res.verdict, "witness": _witness_doc(res.witness)})
     return base, 0
@@ -213,7 +213,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         doc = {"claims": [r.to_dict() for r in reports], "summary": _aggregate(reports), "ok": all(r.ok() for r in reports)}
         return doc, 0 if doc["ok"] else 3
     if not args.claim:
-        raise CosetForgeError("need --claim <id> or --all")
+        raise UsageError("need --claim <id> or --all")
     rep = verify.verify_claim(args.claim, grid=grid, budget=budget)
     return rep.to_dict(), 0 if rep.ok() else 3
 

@@ -1,10 +1,10 @@
 """q-cyclotomic cosets modulo n, coset leaders, and closed-form leader values.
 
 Everything in this module is exact integer arithmetic; no field tables are
-needed.  Brute-force operations (sieves, orbit walks) accept any modulus n
-coprime to q, while the closed-form operations enforce the constraints of
-the code family they belong to ("plus" for n = (q^m-1)/(q+1) with m even,
-"minus" for n = (q^m-1)/(q-1) with q >= 3).
+needed.  One leader map (built by window doubling) holds the coset structure
+of all n residues; the single-orbit walks stay as independent scalar checks.
+Closed-form operations enforce their family's constraints ("plus" for
+n = (q^m-1)/(q+1) with m even, "minus" for n = (q^m-1)/(q-1) with q >= 3).
 """
 
 from __future__ import annotations
@@ -86,39 +86,51 @@ def cyclotomic_coset(q: int, n: int, s: int) -> CyclotomicCoset:
     return CyclotomicCoset(n=n, q=q, leader=min(orbit), elements=tuple(sorted(orbit)), size=len(orbit))
 
 
-@lru_cache(maxsize=None)
-def coset_leaders(q: int, n: int) -> tuple[int, ...]:
-    """All coset leaders modulo n, ascending (one representative per orbit)."""
+_BLOCK = 1 << 16  # residues per block of the x*s mod n index in _orbit_minima
+
+
+def _orbit_minima(q: int, n: int) -> np.ndarray:
+    """int32 array L with L[x] = coset leader (orbit minimum) of x modulo n.
+
+    Window doubling: each round lowers L[x] to L[x*s mod n] in place and squares
+    s (q, q^2, q^4, ...), so after the round with s = q^k, L[x] <= x*q^j mod n
+    for all j < 2k.  Once a round changes nothing, L is constant on each stride-s
+    sub-orbit, whose length-k windows cover the orbit: L is the orbit minimum.
+    O(n log ord_n(q)) work, in blocks of _BLOCK residues (no n-length int64).
+    """
     _check_coprime(q, n)
     check_table_size(n)
-    seen = bytearray(n)
-    leaders = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        leaders.append(s)
-        x = s
-        while not seen[x]:
-            seen[x] = 1
-            x = x * q % n
-    return tuple(leaders)
+    lead = np.arange(n, dtype=np.int32)
+    s = q % n
+    changed = True
+    while changed:
+        changed = False
+        idx = np.arange(min(_BLOCK, n), dtype=np.int64) * s % n  # x*s mod n over the block's x
+        step = _BLOCK * s % n
+        for lo in range(0, n, _BLOCK):
+            block = lead[lo : lo + _BLOCK]
+            cand = lead[idx[: block.size]]
+            changed |= bool((cand < block).any())
+            np.minimum(block, cand, out=block)
+            idx += step  # on to the next block: one conditional subtraction instead of a mod
+            np.subtract(idx, n, out=idx, where=idx >= n)
+        s = s * s % n
+    return lead
 
 
 @lru_cache(maxsize=None)
 def leader_map(q: int, n: int) -> np.ndarray:
-    """Array L with L[x] = coset leader of x modulo n, for all residues x."""
-    _check_coprime(q, n)
-    check_table_size(n)
-    out = np.full(n, -1, dtype=np.int64)
-    for s in range(n):
-        if out[s] >= 0:
-            continue
-        # s is unvisited, hence the smallest member of its orbit
-        x = s
-        while out[x] < 0:
-            out[x] = s
-            x = x * q % n
-    return out
+    """int32 array L with L[x] = coset leader of x modulo n, cached for bch's sets and sweeps."""
+    return _orbit_minima(q, n)
+
+
+@lru_cache(maxsize=None)
+def coset_leaders(q: int, n: int) -> tuple[int, ...]:
+    """All coset leaders modulo n, ascending (one representative per orbit)."""
+    lead = _orbit_minima(q, n)  # not leader_map: a leader listing need not keep its map
+    is_leader = np.zeros(n, dtype=bool)
+    is_leader[lead] = True  # L takes exactly the leaders as values, L[x] = x on them
+    return tuple(np.flatnonzero(is_leader).tolist())
 
 
 def is_coset_leader(q: int, n: int, s: int) -> bool:

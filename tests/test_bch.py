@@ -1,6 +1,9 @@
 """Defining sets, recognition, duals, and the dually-BCH decision."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetforge import bch, cosets, gf
 from cosetforge.errors import DeltaOutOfRange, FamilyConstraint, TowerMismatch
@@ -13,6 +16,17 @@ def closure(q, n, indices):
         while x not in out:
             out.add(x)
             x = x * q % n
+    return out
+
+
+def naive_leader(q, n, x):
+    return min(closure(q, n, [x]))
+
+
+def mask(n, residues):
+    """Boolean array over Z_n marking the residues (the form _make_defining_set takes)."""
+    out = np.zeros(n, dtype=bool)
+    out[list(residues)] = True
     return out
 
 
@@ -54,6 +68,25 @@ def test_dual_defining_set_coset_closed():
         assert dd.exponents == frozenset(closure(q, n, dd.exponents))
 
 
+DUALITY_MODULI = [(2, 21), (3, 20), (3, 40), (4, 85), (5, 104), (2, 101), (7, 300), (3, 121)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dual_defining_set_duality_property(data):
+    # T is any union of nonzero cosets, built here by orbit walks
+    q, n = data.draw(st.sampled_from(DUALITY_MODULI))
+    leaders = sorted({naive_leader(q, n, x) for x in range(1, n)})
+    chosen = data.draw(st.lists(st.sampled_from(leaders), unique=True))
+    t = bch.DefiningSet(q, n, frozenset(closure(q, n, chosen)), tuple(sorted(chosen)))
+    tperp = bch.dual_defining_set(t)
+    assert bch.dual_defining_set(tperp) == t
+    assert tperp.size == n - t.size
+    assert tperp.exponents == frozenset(closure(q, n, tperp.exponents))
+    assert 0 in tperp.exponents
+    assert not tperp.exponents & {(n - x) % n for x in t.exponents}
+
+
 def test_bch_bound_examples():
     assert bch.bch_bound(bch.defining_set(2, 21, 9, 1)) >= 9
     run = bch.DefiningSet(3, 20, frozenset(range(11)), (0, 1, 2, 4, 5, 10))
@@ -71,11 +104,11 @@ def test_recognize_bch_examples():
     rec = bch.recognize_bch(tperp)
     assert rec.is_bch and rec.witness == (0, 12) and rec.c0_anchored
 
-    c5 = bch._make_defining_set(2, 21, closure(2, 21, [5]))
+    c5 = bch._make_defining_set(2, 21, mask(21, closure(2, 21, [5])))
     rec5 = bch.recognize_bch(c5)
     assert rec5.is_bch and rec5.witness == (5, 2)
 
-    c1c5 = bch._make_defining_set(2, 21, closure(2, 21, [1, 5]))
+    c1c5 = bch._make_defining_set(2, 21, mask(21, closure(2, 21, [1, 5])))
     assert not bch.recognize_bch(c1c5).is_bch
 
     assert bch.recognize_bch(bch.DefiningSet(2, 21, frozenset(), ())).empty
@@ -111,7 +144,34 @@ def test_i_of_delta_examples():
         bch.i_of_delta(3, 20, 20)
 
 
-@pytest.mark.parametrize("q,n", [(2, 21), (3, 20), (3, 40), (4, 85)])
+def test_defining_set_matches_orbit_walks():
+    for q, n in [(2, 21), (3, 20), (3, 40), (4, 85), (2, 101)]:
+        for b in (0, 1, 3):
+            for delta in range(2, n + 1):
+                ds = bch.defining_set(q, n, delta, b)
+                want = closure(q, n, [b + j for j in range(delta - 1)])
+                assert ds.exponents == frozenset(want), (q, n, b, delta)
+                assert ds.source_cosets == tuple(sorted({naive_leader(q, n, x) for x in want})), (q, n, b, delta)
+
+
+def family_moduli(max_n):
+    """Distinct (q, n) of both families with m >= 4 and n <= max_n (q >= 11 gives n > 1200)."""
+    out = set()
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in range(4, 13):
+            for family in ("plus", "minus"):
+                if (family == "plus" and m % 2 == 0) or (family == "minus" and q >= 3):
+                    n = cosets.family_length(q, m, family)
+                    if n <= max_n:
+                        out.add((q, n))
+    return sorted(out)
+
+
+SWEEP_MODULI = [(2, 21), (3, 20), (3, 40), (4, 85)]  # the original grid keeps its test ids first
+SWEEP_MODULI += [qn for qn in family_moduli(400) if qn not in SWEEP_MODULI]
+
+
+@pytest.mark.parametrize("q,n", SWEEP_MODULI)
 def test_sweeps_agree_with_scalar_ops(q, n):
     sweep = bch.dually_bch_sweep(q, n)
     for j, delta in enumerate(range(2, n + 1)):
@@ -136,7 +196,7 @@ def test_monotonicity_of_defining_sets():
 
 def test_generator_polynomial_examples():
     t21 = gf.tower_for(2, 6)
-    c0 = bch._make_defining_set(2, 21, {0})
+    c0 = bch._make_defining_set(2, 21, mask(21, {0}))
     g0 = bch.generator_polynomial(t21, c0)
     assert g0.coeffs == (1, 1)  # x - 1
 
@@ -146,7 +206,7 @@ def test_generator_polynomial_examples():
     _, rem = gf.poly_divmod(t21, gf.xn_minus_one(t21, 21), g)
     assert rem.is_zero()
 
-    full = bch._make_defining_set(2, 21, set(range(21)))
+    full = bch._make_defining_set(2, 21, mask(21, set(range(21))))
     gfull = bch.generator_polynomial(t21, full)
     assert gfull.coeffs == gf.xn_minus_one(t21, 21).coeffs
 
@@ -175,7 +235,7 @@ def test_dual_generator_and_root_set_duality():
 
 def test_dual_generator_repetition_case():
     t = gf.tower_for(2, 6)
-    c0 = bch._make_defining_set(2, 21, {0})
+    c0 = bch._make_defining_set(2, 21, mask(21, {0}))
     code = bch.CyclicCode(q=2, n=21, genpoly=bch.generator_polynomial(t, c0), defining=c0, dimension=20)
     dg = bch.dual_generator(t, code)
     assert dg.degree == 20

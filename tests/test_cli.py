@@ -172,6 +172,26 @@ def test_grid_pair_filtered_by_checker_still_succeeds(capsys):
     assert {c["claim"] for c in doc["claims"] if not c["points"]} >= {"CLM-T3", "CLM-LB1002", "CLM-T5"}
 
 
+@pytest.mark.parametrize("mode", [["--sweep"], ["--delta", "3"]])
+def test_dually_bch_needs_m_at_least_4(capsys, mode):
+    rc, out, err = run_cli(capsys, "dually-bch", "--q", "3", "--m", "3", "--family", "minus", *mode)
+    assert rc == 1 and not out and "need m >= 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dually-bch", "--q", "3", "--m", "4", "--family", "plus"],
+        ["dually-bch", "--q", "3", "--m", "4", "--family", "plus", "--sweep", "--delta", "3"],
+        ["verify"],
+        ["cosets", "--q", "3"],
+    ],
+)
+def test_missing_or_conflicting_arguments_are_usage_errors(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and not out and err.startswith("error: ")
+
+
 HUGE = ["--q", "3", "--m", "40", "--family", "plus"]  # n = (3^40 - 1)/4, about 3e18
 
 

@@ -6,6 +6,7 @@ frozen values are anchored to an oracle other than the functions under test.
 
 import math
 
+import numpy as np
 import pytest
 
 from cosetforge import cosets
@@ -52,6 +53,65 @@ def test_leader_map_matches_leaders():
     lm = cosets.leader_map(3, 40)
     for x in range(40):
         assert lm[x] == min(naive_orbit(3, 40, x))
+
+
+def naive_leader_map(q, n):
+    return [min(naive_orbit(q, n, x)) for x in range(n)]
+
+
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def family_moduli(max_n, min_m):
+    """Sorted distinct (q, n) over both families with m >= min_m and n <= max_n."""
+    out = set()
+    for q in filter(is_prime_power, range(2, max_n + 2)):
+        m = min_m
+        while (q**m - 1) // (q + 1) <= max_n:
+            for family in ("plus", "minus"):
+                if (family == "plus" and m % 2 == 0) or (family == "minus" and q >= 3):
+                    n = cosets.family_length(q, m, family)
+                    if n <= max_n:
+                        out.add((q, n))
+            m += 1
+    return sorted(out)
+
+
+# n = 1; q = 2 has order n - 1 modulo the prime 101, so the doubling needs all 8 rounds
+SMALL_MODULI = [(5, 1), (2, 1), (2, 101), (2, 21), (3, 20), (3, 40), (4, 85), (5, 104), (7, 300), (3, 121)]
+
+
+def check_against_orbit_walks(q, n):
+    want = naive_leader_map(q, n)
+    lm = cosets.leader_map(q, n)
+    assert lm.dtype == np.int32 and lm.shape == (n,)
+    assert lm.tolist() == want, (q, n)
+    assert cosets.coset_leaders(q, n) == tuple(sorted(set(want))), (q, n)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_leader_map_matches_orbit_walks(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(cosets, "_BLOCK", block)
+    cosets.leader_map.cache_clear()
+    cosets.coset_leaders.cache_clear()
+    try:
+        for q, n in SMALL_MODULI:
+            check_against_orbit_walks(q, n)
+    finally:
+        cosets.leader_map.cache_clear()
+        cosets.coset_leaders.cache_clear()
+
+
+def test_leader_map_matches_orbit_walks_on_family_points():
+    moduli = family_moduli(2000, 2)
+    assert len(moduli) > 600 and (3, 1640) in moduli and (4, 1365) in moduli
+    for q, n in moduli:
+        check_against_orbit_walks(q, n)
 
 
 def test_not_coprime():

@@ -8,6 +8,7 @@ other applies the MacWilliams identity with the Krawtchouk triple sum.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,9 +50,16 @@ def naive_macwilliams(counts, q):
     return out
 
 
+def mask(n, residues):
+    """Boolean array over Z_n marking the residues (the form _make_defining_set takes)."""
+    out = np.zeros(n, dtype=bool)
+    out[list(residues)] = True
+    return out
+
+
 def full_code(t, n):
     """The k = 0 cyclic code: every residue is a root, so the generator is x^n - 1."""
-    ds = bch._make_defining_set(t.q, n, set(range(n)))
+    ds = bch._make_defining_set(t.q, n, mask(n, set(range(n))))
     return bch.CyclicCode(q=t.q, n=n, genpoly=bch.generator_polynomial(t, ds), defining=ds, dimension=0)
 
 
@@ -67,7 +75,7 @@ ORACLE_CODES = [
 
 def test_repetition_style_code_distance():
     t = gf.tower_for(2, 6)
-    ds = bch._make_defining_set(2, 21, set(range(1, 21)))  # roots at all nonzero exponents
+    ds = bch._make_defining_set(2, 21, mask(21, set(range(1, 21))))  # roots at all nonzero exponents
     g = bch.generator_polynomial(t, ds)
     code = bch.CyclicCode(q=2, n=21, genpoly=g, defining=ds, dimension=1)
     res = distance.min_distance_enumerate(t, code)
@@ -89,7 +97,7 @@ def test_known_dual_distances():
 
 def test_zero_code_enumerator():
     t = gf.tower_for(2, 6)
-    full = bch._make_defining_set(2, 21, set(range(21)))
+    full = bch._make_defining_set(2, 21, mask(21, set(range(21))))
     code = bch.CyclicCode(q=2, n=21, genpoly=bch.generator_polynomial(t, full), defining=full, dimension=0)
     we = distance.weight_enumerator(t, code)
     assert we.counts[0] == 1 and sum(we.counts) == 1
