@@ -3,10 +3,11 @@
 A narrow-sense code with designed distance delta has defining set
 T = C_1 | ... | C_{delta-1} (exponents of the generator's roots in the
 fixed primitive n-th root of unity beta).  The dual's defining set is
-T_perp = Z_n \\ T^{-1} with T^{-1} = {n - i mod n : i in T}.  A set is
-recognized as BCH when it equals the coset closure of a consecutive
-window {b, ..., b + delta - 2}; the scan anchors b at coset leaders
-(and 0), which keeps witnesses canonical and deterministic.
+T_perp = Z_n \\ T^{-1} with T^{-1} = {n - i mod n : i in T}, and its
+generator is ``generator_polynomial`` of T_perp.  A set is recognized as
+BCH when it equals the coset closure of a consecutive window
+{b, ..., b + delta - 2}; the scan anchors b at coset leaders (and 0),
+which keeps witnesses canonical and deterministic.
 Defining sets are boolean masks over ``cosets.leader_map``; ``recognize_bch``
 stays a scalar scan on purpose, as the independent check of the O(n) sweep.
 """
@@ -311,29 +312,14 @@ def generator_polynomial(t: gf.FieldTower, ds: DefiningSet) -> gf.Polynomial:
 
 
 def dual_generator(t: gf.FieldTower, code) -> gf.Polynomial:
-    """Monic reciprocal of the check polynomial h = (x^n - 1)/g.
-
-    Its root exponents are Z_n \\ T^{-1}, i.e. the dual's defining set, and
-    its degree equals the primal dimension.
-    """
-    ds = code.defining
-    _check_tower(t, code.q, code.n)
-    n = code.n
-    k = code.dimension
-    if ds.size <= k:
-        h, rem = gf.poly_divmod(t, gf.xn_minus_one(t, n), code.genpoly)
-        assert rem.is_zero()
-    else:
-        h = _minpoly_product(t, n, _complement_sources(ds))
-    rec = gf.Polynomial(gf.Level.GFQ, tuple(reversed(h.coeffs)))
-    return gf._monic(t, rec)
+    """Generator of the dual: the generator polynomial of T_perp = Z_n \\ T^{-1}."""
+    return generator_polynomial(t, dual_defining_set(code.defining))
 
 
 def dual_code(t: gf.FieldTower, code) -> CyclicCode:
-    """The dual as a cyclic code (generator = reciprocal check polynomial)."""
-    g = dual_generator(t, code)
+    """The dual as a cyclic code, generated by the generator polynomial of T_perp."""
     dual_ds = dual_defining_set(code.defining)
-    assert g.degree == dual_ds.size
+    g = generator_polynomial(t, dual_ds)
     return CyclicCode(q=code.q, n=code.n, genpoly=g, defining=dual_ds, dimension=code.n - code.dimension)
 
 

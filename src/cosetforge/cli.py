@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import bch, cosets, distance, gf, verify
 from .errors import CosetForgeError, UsageError
@@ -206,14 +207,14 @@ def _aggregate(reports) -> dict:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    if args.all == bool(args.claim):
+        raise UsageError("need exactly one of --claim <id> and --all")
     grid = _parse_grid(args.grid)
     budget = args.max_codewords
     if args.all:
-        reports = verify.verify_all(grid=grid, budget=budget, threads=args.threads)
+        reports = verify.verify_all(grid=grid, budget=budget)
         doc = {"claims": [r.to_dict() for r in reports], "summary": _aggregate(reports), "ok": all(r.ok() for r in reports)}
         return doc, 0 if doc["ok"] else 3
-    if not args.claim:
-        raise UsageError("need --claim <id> or --all")
     rep = verify.verify_claim(args.claim, grid=grid, budget=budget)
     return rep.to_dict(), 0 if rep.ok() else 3
 
@@ -289,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--claim", default=None, help="claim id, e.g. CLM-D1P")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--grid", default=None, help="override grid domains, e.g. q=2|3,m=4")
-    sp.add_argument("--threads", type=int, default=1, help="worker cap; output content is independent of it")
     _add_common(sp, budget=True)
     sp.set_defaults(fn=_cmd_verify)
 
@@ -300,8 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()  # built once per process; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc, rc = args.fn(args)
     except CosetForgeError as exc:

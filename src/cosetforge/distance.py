@@ -8,7 +8,9 @@ with u_0 = g_0^-1.  Their weight histogram N_w gives the minimum distance
 GF(q) element indices (q_add, q_mul), tabulating the spans of two halves
 of the other rows (meet in the middle): a + b = 0 exactly when a = -b, so
 weights are one vectorised comparison.  The MacWilliams transform runs the
-three-term Krawtchouk recurrence (MacWilliams & Sloane, ch. 5).
+three-term Krawtchouk recurrence (MacWilliams & Sloane, ch. 5).  `route`
+is the one budget policy: direct when q^k fits, else the dual when q^(n-k)
+fits, else no exact answer.
 """
 
 from __future__ import annotations
@@ -113,6 +115,19 @@ def weight_enumerator(t: gf.FieldTower, code, budget: int | None = None) -> Weig
     return WeightEnumerator(n=n, counts=tuple(counts))
 
 
+def route(q: int, n: int, k: int, budget: int, method: str = "auto") -> str | None:
+    """How the distance of an [n, k] code over GF(q) can be computed, or None.
+
+    "direct-enum" when q^k codewords fit the budget, else (for "auto" or
+    "dual-macwilliams") "dual-macwilliams" when the dual's q^(n-k) do.
+    """
+    if method in ("auto", "direct") and q**k <= budget:
+        return "direct-enum"
+    if method in ("auto", "dual-macwilliams") and q ** (n - k) <= budget:
+        return "dual-macwilliams"
+    return None
+
+
 def min_distance_enumerate(
     t: gf.FieldTower,
     code,
@@ -120,26 +135,26 @@ def min_distance_enumerate(
     method: str = "auto",
     allow_bound_only: bool = True,
 ) -> DistanceResult:
-    """Exact minimum distance when some enumeration route fits the budget.
+    """Exact minimum distance when `route` finds an enumeration that fits the budget.
 
-    Tries direct enumeration of the code, then enumeration of its dual
-    followed by a MacWilliams transform; otherwise falls back to a
-    bound-only result (d = None) unless that is disallowed.  `enumerated`
-    is the number of codewords accounted for, q^k or q^(n-k).
+    Direct enumeration of the code, or enumeration of its dual followed by
+    a MacWilliams transform; otherwise a bound-only result (d = None)
+    unless that is disallowed.  `enumerated` is the number of codewords
+    accounted for, q^k or q^(n-k).
     """
     b = effective_budget(budget)
     q, n, k = code.q, code.n, code.dimension
     if method not in ("auto", "direct", "dual-macwilliams", "bound-only"):
         raise OutOfRange(f"unknown method {method!r}")
-    if method in ("auto", "direct") and q**k <= b:
+    chosen = route(q, n, k, b, method)
+    if chosen == "direct-enum":
         weights = np.flatnonzero(_weight_histogram(t, code, b))
         d = int(weights[0]) if weights.size else None
-        return DistanceResult(d=d, method="direct-enum", enumerated=q**k)
-    if method in ("auto", "dual-macwilliams") and q ** (n - k) <= b:
-        dual = bch.dual_code(t, code)
-        wd = weight_enumerator(t, dual, b)
+        return DistanceResult(d=d, method=chosen, enumerated=q**k)
+    if chosen == "dual-macwilliams":
+        wd = weight_enumerator(t, bch.dual_code(t, code), b)
         wc = macwilliams_transform(wd, q, k_dual=k)
-        return DistanceResult(d=wc.min_positive_weight(), method="dual-macwilliams", enumerated=q ** (n - k))
+        return DistanceResult(d=wc.min_positive_weight(), method=chosen, enumerated=q ** (n - k))
     if method == "bound-only" or (method == "auto" and allow_bound_only):
         return DistanceResult(d=None, method="bound-only", enumerated=0)
     raise BudgetExceeded(f"neither q^{k} nor q^{n - k} fits budget {b}")

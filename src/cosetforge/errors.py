@@ -75,7 +75,7 @@ class UnknownClaim(CosetForgeError, KeyError):
 
 
 class GridTooLarge(CosetForgeError, ValueError):
-    """A verification grid point exceeds the desk-scale guard."""
+    """A verification grid point has q^m over ORDER_GUARD."""
 
 
 class UsageError(CosetForgeError, ValueError):

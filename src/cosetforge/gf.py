@@ -5,7 +5,10 @@ are the coordinates with respect to the power basis of alpha, the residue
 of x modulo the tower modulus.  The modulus is the first primitive
 polynomial of its degree in the deterministic search order (coefficient
 vector read as a base-p integer, constant term least significant), so
-towers are reproducible across runs.
+towers are reproducible across runs.  A candidate f is primitive when its
+d x d companion matrix C (multiplication by x mod f) has C^(p^d-1) = I and
+C^((p^d-1)/r) != I for every prime r dividing p^d - 1; the table build
+squares the same matrix.
 
 Multiplication, inversion and powering go through int32 discrete-log tables
 keyed by alpha, built by doubling: alpha^L..alpha^(2L-1) are the base-p
@@ -99,44 +102,34 @@ def prime_power(q: int) -> tuple[int, int]:
     raise NotPrime(f"{q} is not a prime power")
 
 
-def _poly_mulmod_gfp(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    # dense schoolbook product reduced by the monic modulus, coefficients mod p
-    d = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, d - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(d):
-                prod[i - d + j] = (prod[i - d + j] - c * mod[j]) % p
-    return [c % p for c in prod[:d]] + [0] * max(0, d - len(prod))
+def _companion(p: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """float64 d x d matrix of multiplication by x modulo the monic modulus.
 
-
-def _poly_powmod_gfp(base: list[int], exp: int, mod: tuple[int, ...], p: int) -> list[int]:
-    d = len(mod) - 1
-    result = [1] + [0] * (d - 1)
-    cur = list(base) + [0] * (d - len(base))
-    while exp:
-        if exp & 1:
-            result = _poly_mulmod_gfp(result, cur, mod, p)
-        cur = _poly_mulmod_gfp(cur, cur, mod, p)
-        exp >>= 1
-    return result
+    Row i holds the base-p digits of x^(i+1) mod f, so a digit row times the
+    matrix is that element times x.
+    """
+    d = len(modulus) - 1
+    step = np.zeros((d, d))
+    step[np.arange(d - 1), np.arange(1, d)] = 1
+    step[d - 1] = [-c % p for c in modulus[:d]]
+    return step
 
 
 def _x_is_primitive(mod: tuple[int, ...], p: int, group: int, primes: tuple[int, ...]) -> bool:
-    one = [1] + [0] * (len(mod) - 2)
-    x = [0, 1]
-    if _poly_powmod_gfp(x, group, mod, p) != one:
-        return False
-    for r in primes:
-        if _poly_powmod_gfp(x, group // r, mod, p) == one:
-            return False
-    return True
+    # x^e = 1 exactly when the e-th power of its multiplication matrix is I
+    step = _companion(p, mod)
+    eye = np.eye(len(step))
+
+    def is_one(e: int) -> bool:
+        acc, sq = eye, step
+        while e:
+            if e & 1:
+                acc = acc @ sq % p
+            sq = sq @ sq % p
+            e >>= 1
+        return np.array_equal(acc, eye)
+
+    return is_one(group) and not any(is_one(group // r) for r in primes)
 
 
 def _smallest_primitive_modulus(p: int, d: int) -> tuple[int, ...]:
@@ -174,9 +167,7 @@ def _power_tables(p: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
     d = len(modulus) - 1
     group = p**d - 1
     place = p ** np.arange(d, dtype=np.int32)
-    step = np.zeros((d, d))  # row i: digits of x^i * alpha^L, here L = 1
-    step[np.arange(d - 1), np.arange(1, d)] = 1
-    step[d - 1] = [-c % p for c in modulus[:d]]
+    step = _companion(p, modulus)  # multiplication by alpha^L, here L = 1
     antilog = np.empty(group, dtype=np.int32)
     log = np.full(group + 1, -1, dtype=np.int32)
     antilog[0], log[1] = 1, 0
@@ -401,9 +392,10 @@ class Polynomial:
 
     def __post_init__(self):
         c = tuple(self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        end = len(c)
+        while end and c[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", c[:end])
 
     @property
     def degree(self):

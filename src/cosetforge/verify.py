@@ -4,14 +4,15 @@ Every claim compares a closed form or an iff-characterization ("expected")
 against a value produced by brute force over the actual coset/defining-set
 structures ("observed"); the observed side never calls the closed form it
 is checking.  Reports are deterministic: identical grids give identical
-point lists, and the only varying field is the wall time.
+point lists, and the only varying field is the wall time.  A distance point
+is skipped exactly when ``distance.route`` finds that neither q^k nor
+q^(n-k) fits the enumeration budget; skips are reported, never passed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -19,14 +20,12 @@ from typing import Callable
 import numpy as np
 
 from . import bch, cosets, distance, gf
-from .errors import GridTooLarge, UnknownClaim, UsageError
+from .errors import ORDER_GUARD, GridTooLarge, UnknownClaim, UsageError
 
 # default parameter grids (pairs (q, m)); larger m only where sieves stay cheap
 PLUS_PAIRS = ((2, 4), (2, 6), (2, 8), (3, 4), (3, 6), (3, 8), (4, 4), (4, 6), (5, 4), (5, 6), (7, 4), (7, 6))
 MINUS_PAIRS = ((3, 4), (3, 5), (3, 6), (4, 4), (4, 5), (4, 6), (5, 4), (5, 5), (7, 4), (7, 5), (8, 4), (8, 5), (9, 4), (9, 5))
 QM1_PAIRS = tuple(sorted(set(PLUS_PAIRS) | set(MINUS_PAIRS)))
-
-_POINT_GUARD = 2**26
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,8 @@ def _pair_ok(q: int, m: int, kind: str) -> bool:
         return m >= 4 and m % 2 == 0
     if kind == "minus":
         return q >= 3 and m >= 4
+    if kind == "q-only":
+        return m == 4
     return m >= 2  # qm1
 
 
@@ -99,8 +100,8 @@ def _pairs_for(claim: Claim, grid: dict | None) -> tuple:
         ms = tuple(sorted({m for _, m in base}))
     pairs = tuple((q, m) for q in qs for m in ms if _pair_ok(q, m, claim.kind))
     for q, m in pairs:
-        if q**m > _POINT_GUARD:
-            raise GridTooLarge(f"q^m = {q}^{m} exceeds the desk-scale guard")
+        if q**m > ORDER_GUARD:
+            raise GridTooLarge(f"q^m = {q}^{m} exceeds the table-size guard {ORDER_GUARD}")
     return pairs
 
 
@@ -116,15 +117,6 @@ def _intervals(flags, first_delta: int) -> list[list[int]]:
         else:
             out.append([d, d])
     return out
-
-
-def _enumerable(q: int, n: int, dim: int, budget: int) -> str | None:
-    """Which route can compute the true distance of an [n, dim] code, if any."""
-    if q**dim <= budget:
-        return "direct"
-    if q ** (n - dim) <= budget and n <= 256:  # transform cost grows with n^3
-        return "transform"
-    return None
 
 
 def _true_distance(q: int, m: int, code, budget: int) -> int:
@@ -189,8 +181,8 @@ def _chk_t1(pairs, budget) -> list[dict]:
         ds = bch.defining_set(q, n, d1, 1)
         pts.append(_point({"q": q, "m": m, "check": "dimension", "delta1": d1}, expected_dim, n - ds.size))
         k = n - ds.size
-        if q**k > budget:
-            pts.append(_skip({"q": q, "m": m, "check": "distance", "delta1": d1}, f"q^k = {q}^{k} over budget"))
+        if distance.route(q, n, k, budget) is None:
+            pts.append(_skip({"q": q, "m": m, "check": "distance", "delta1": d1}, f"q^k = {q}^{k} and q^(n-k) = {q}^{n - k} over budget"))
             continue
         t = gf.tower_for(q, m)
         code = bch.bch_code(t, n, d1, family=cosets.PLUS, m=m)
@@ -305,8 +297,7 @@ def _dual_distance_sweep_points(pairs, budget, delta_range, bound_fn, claim_tag)
         cache: dict[int, tuple[int, str]] = {}  # |T| -> (dual d, method); T(delta) nests, so equal size means equal set
         for delta in delta_range(q, n):
             size_t = int(pref[delta - 1] - 1)
-            route = _enumerable(q, n, size_t, budget)
-            if route is None:
+            if distance.route(q, n, size_t, budget) is None:  # the dual has dimension |T|
                 skipped += 1
                 continue
             if size_t not in cache:
@@ -460,7 +451,7 @@ def verify_claim(claim_id: str, grid: dict | None = None, budget: int | None = N
     return _run(claim, pairs, distance.effective_budget(budget))
 
 
-def verify_all(grid: dict | None = None, budget: int | None = None, threads: int = 1) -> list[ClaimReport]:
+def verify_all(grid: dict | None = None, budget: int | None = None) -> list[ClaimReport]:
     """Run every claim; report order always follows the registry.
 
     A claim whose kind the grid excludes reports no points; UsageError if
@@ -470,7 +461,4 @@ def verify_all(grid: dict | None = None, budget: int | None = None, threads: int
     if not any(pairs for _, pairs in plan):
         raise UsageError(f"grid {grid} selects no valid (q, m) pair for any claim")
     b = distance.effective_budget(budget)
-    if threads <= 1:
-        return [_run(c, pairs, b) for c, pairs in plan]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda cp: _run(*cp, b), plan))
+    return [_run(c, pairs, b) for c, pairs in plan]

@@ -233,6 +233,41 @@ def test_dual_generator_and_root_set_duality():
         assert roots == set(dual_ds.exponents)
 
 
+def reciprocal_dual_generator(t, code):
+    """Reference: the monic reciprocal of the check polynomial h = (x^n - 1)/g,
+    with h taken by division when |T| <= k and as the product of the
+    complement's minimal polynomials otherwise."""
+    if code.defining.size <= code.dimension:
+        h, rem = gf.poly_divmod(t, gf.xn_minus_one(t, code.n), code.genpoly)
+        assert rem.is_zero()
+    else:
+        complement = set(range(code.n)) - set(code.defining.exponents)
+        leaders = sorted({naive_leader(code.q, code.n, x) for x in complement})
+        h = gf.Polynomial(gf.Level.GFQ, (1,))
+        for lead in leaders:
+            h = gf.poly_mul(t, h, gf.minimal_polynomial(t, code.n, lead))
+    rec = h.coeffs[::-1]
+    inv = int(t.q_inv[rec[-1]])
+    return tuple(int(t.q_mul[c, inv]) for c in rec)
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 6, 21), (3, 4, 20), (3, 4, 40), (4, 4, 51), (5, 4, 104)])
+def test_dual_generator_matches_reciprocal_construction(q, m, n):
+    t = gf.tower_for(q, m)
+    branches = set()
+    for b in (0, 1, 3):
+        seen = set()
+        for delta in range(2, n + 1):
+            code = bch.bch_code(t, n, delta, b=b)
+            if code.defining.exponents in seen:
+                continue
+            seen.add(code.defining.exponents)
+            branches.add(code.defining.size <= code.dimension)
+            dual = bch.dual_code(t, code)
+            assert bch.dual_generator(t, code).coeffs == dual.genpoly.coeffs == reciprocal_dual_generator(t, code)
+    assert branches == {True, False}
+
+
 def test_dual_generator_repetition_case():
     t = gf.tower_for(2, 6)
     c0 = bch._make_defining_set(2, 21, mask(21, {0}))

@@ -128,7 +128,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_verify_all_small_grid(capsys):
-    rc, out, _ = run_cli(capsys, "verify", "--all", "--grid", "q=3,m=4", "--threads", "2")
+    rc, out, _ = run_cli(capsys, "verify", "--all", "--grid", "q=3,m=4")
     doc = json.loads(out)
     assert rc == 0 and doc["ok"] is True
     assert len(doc["claims"]) == 17
@@ -184,6 +184,7 @@ def test_dually_bch_needs_m_at_least_4(capsys, mode):
         ["dually-bch", "--q", "3", "--m", "4", "--family", "plus"],
         ["dually-bch", "--q", "3", "--m", "4", "--family", "plus", "--sweep", "--delta", "3"],
         ["verify"],
+        ["verify", "--claim", "CLM-D1P", "--all", "--grid", "q=3,m=4"],
         ["cosets", "--q", "3"],
     ],
 )

@@ -215,6 +215,22 @@ def test_budget_and_fallbacks():
     assert direct.d == viadual.d == 9
 
 
+@pytest.mark.parametrize(
+    "k,budget,method,route",
+    [
+        (4, 81, "auto", "direct-enum"),  # 3^4 fits
+        (16, 81, "auto", "dual-macwilliams"),  # 3^16 does not, 3^(20-16) does
+        (10, 3**10 - 1, "auto", None),  # k = n - k = 10, one codeword over on both sides
+        (4, 81, "dual-macwilliams", None),  # forced route: 3^16 over budget
+        (4, 3**16, "dual-macwilliams", "dual-macwilliams"),
+        (16, 81, "direct", None),
+        (4, 81, "bound-only", None),
+    ],
+)
+def test_route_policy(k, budget, method, route):
+    assert distance.route(3, 20, k, budget, method) == route
+
+
 def test_effective_budget(monkeypatch):
     monkeypatch.delenv(distance.BUDGET_ENV_VAR, raising=False)
     assert distance.effective_budget() == distance.DEFAULT_BUDGET

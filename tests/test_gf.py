@@ -203,6 +203,33 @@ def test_tower_determinism():
     assert a.modulus == b.modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
 
 
+def _first_primitive_by_order(p, d):
+    """Oracle: the first candidate in search order on which x has order p^d - 1,
+    the order found by multiplying digit vectors by x until they return to 1."""
+    one = [1] + [0] * (d - 1)
+    for low in range(1, p**d):
+        if low % p == 0:
+            continue
+        mod = [low // p**i % p for i in range(d)]
+        digits, order = one, 0
+        while True:
+            carry, digits = digits[-1], [0] + digits[:-1]
+            digits = [(c - carry * f) % p for c, f in zip(digits, mod)]
+            order += 1
+            if digits == one or order == p**d:
+                break
+        if order == p**d - 1:
+            return tuple(mod) + (1,)
+    raise AssertionError("no primitive candidate")
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p, top in ((2, 10), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)) for d in range(1, top + 1)])
+def test_smallest_primitive_modulus_matches_order_oracle(p, d):
+    # at (3, 2) the first candidate x^2 + 1 is irreducible but x has order 4 in
+    # it, so a search that only checks x^(p^d-1) = 1 picks the wrong modulus
+    assert gf._smallest_primitive_modulus(p, d) == _first_primitive_by_order(p, d)
+
+
 def _sequential_tower(p, e, m):
     """Reference tables: step alpha^j -> alpha^(j+1) by multiplying digit vectors
     by x one at a time, with digit-wise sums, negations and GF(p) scalings."""

@@ -110,13 +110,20 @@ def test_report_determinism():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_verify_all_threads_match_serial():
-    grid = {"q": [3], "m": [4]}
-    serial = [r.to_dict() for r in verify.verify_all(grid=grid, threads=1)]
-    threaded = [r.to_dict() for r in verify.verify_all(grid=grid, threads=4)]
-    for x in serial + threaded:
-        x.pop("wall_time_ms")
-    assert serial == threaded
+def test_dual_distance_sweep_beyond_n_256():
+    # n = 341: every delta with q^|T| or q^(n-|T|) within the budget is enumerated
+    rep = verify.verify_claim("CLM-B1002", grid={"q": [2], "m": [10]}, budget=10**5)
+    assert rep.summary == {"pass": 218, "fail": 0, "skip": 1, "flag": 0, "total": 219}
+    methods = {p["method"] for p in rep.points if p["status"] == "pass"}
+    assert methods == {"direct-enum", "dual-macwilliams"}
+    assert rep.points[-1]["note"] == "122 deltas over budget for CLM-B1002"
+
+
+def test_q_only_claim_takes_m_4_only():
+    rep = verify.verify_claim("CLM-2ND4", grid={"q": [3], "m": [4, 6]})
+    assert [p["params"] for p in rep.points] == [{"q": 3, "m": 4}]
+    with pytest.raises(UsageError):
+        verify.verify_claim("CLM-2ND4", grid={"q": [3], "m": [6]})
 
 
 def test_points_are_json_serializable():
@@ -145,12 +152,6 @@ def test_tower_built_once_under_threads(monkeypatch):
         return search(p, d)
 
     monkeypatch.setattr(gf, "_smallest_primitive_modulus", slow_search)
-    gf.tower_for.cache_clear()
-    gf.build_tower.cache_clear()
-    # budget 100 skips CLM-T1's enumeration, so CLM-B1002 and CLM-LB1002, which
-    # run side by side, are the first to ask for the (3, 4) and (5, 4) towers
-    verify.verify_all(grid={"q": [3, 5], "m": [4]}, budget=100, threads=2)
-    assert gf.build_tower.cache_info().misses == 2
     # more threads than cores, all missing the same tower at once
     gf.tower_for.cache_clear()
     gf.build_tower.cache_clear()
