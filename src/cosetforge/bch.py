@@ -6,10 +6,12 @@ fixed primitive n-th root of unity beta).  The dual's defining set is
 T_perp = Z_n \\ T^{-1} with T^{-1} = {n - i mod n : i in T}, and its
 generator is ``generator_polynomial`` of T_perp.  A set is recognized as
 BCH when it equals the coset closure of a consecutive window
-{b, ..., b + delta - 2}; the scan anchors b at coset leaders (and 0),
-which keeps witnesses canonical and deterministic.
+{b, ..., b + delta - 2}.  ``_runs`` splits a set into its maximal cyclic
+runs; ``bch_bound`` is the longest plus one, and ``recognize_bch`` walks
+each run once from its end, anchoring b at coset leaders (and 0) so that
+witnesses are canonical: largest delta, then smallest b.
 Defining sets are boolean masks over ``cosets.leader_map``; ``recognize_bch``
-stays a scalar scan on purpose, as the independent check of the O(n) sweep.
+walks its own orbits on purpose, as the independent check of the O(n) sweep.
 """
 
 from __future__ import annotations
@@ -122,36 +124,40 @@ def dual_defining_set(ds: DefiningSet) -> DefiningSet:
     return _make_defining_set(ds.q, ds.n, ~np.roll(_mask(ds)[::-1], 1))  # rolled reversal: x -> (n - x) mod n
 
 
+def _runs(ds: DefiningSet) -> list[list[int]]:
+    """Maximal cyclic runs [start, length] of a set neither empty nor full.
+
+    Sorted members extend the last run while they stay consecutive; a run
+    ending at n-1 and one starting at 0 are one run through the wrap-around.
+    """
+    runs: list[list[int]] = []
+    for x in ds.sorted_exponents():
+        if runs and x == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 1
+        else:
+            runs.append([x, 1])
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][0] + runs[-1][1] == ds.n:
+        runs[-1][1] += runs.pop(0)[1]
+    return runs
+
+
 def bch_bound(ds: DefiningSet) -> int:
     """Longest cyclically-consecutive run inside the set, plus one."""
     if not ds.exponents:
         return 1
-    n = ds.n
-    if len(ds.exponents) == n:
-        return n + 1
-    members = ds.sorted_exponents()
-    runs = []
-    start = prev = members[0]
-    for x in members[1:]:
-        if x == prev + 1:
-            prev = x
-        else:
-            runs.append((start, prev - start + 1))
-            start = prev = x
-    runs.append((start, prev - start + 1))
-    # merge the wrap-around run n-1 -> 0
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][0] + runs[-1][1] == n:
-        first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], last[1] + first[1]))
-    return max(length for _, length in runs) + 1
+    if ds.size == ds.n:
+        return ds.n + 1
+    return max(length for _, length in _runs(ds)) + 1
 
 
 def recognize_bch(ds: DefiningSet) -> Recognition:
     """Decide whether the set is a coset closure of a consecutive window.
 
-    Anchors b range over the set's coset leaders plus 0; among valid
-    witnesses, delta is maximized and then b minimized.
+    Anchors b range over the set's coset leaders plus 0; the window of an
+    anchor runs from b to the end of its cyclic run.  Each run is walked
+    once, backwards, adding one leader per step to the cosets covered from
+    there to the run end.  Among valid witnesses, delta is maximized and
+    then b minimized.
     """
     exps = ds.exponents
     n = ds.n
@@ -179,26 +185,28 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
                 break
     total = len(ds.source_cosets)
 
-    anchors = sorted(set(ds.source_cosets) | ({0} if 0 in exps else set()))
+    anchors = set(ds.source_cosets) | {0}
     best: tuple[int, int] | None = None
     c0 = False
-    for b in anchors:
-        length = 0
-        while length < n and (b + length) % n in exps:
-            length += 1
-        covered = {leader_of[(b + j) % n] for j in range(length)}
-        if len(covered) == total:
-            if b == 0:
-                c0 = True
-            if best is None or length + 1 > best[1] or (length + 1 == best[1] and b < best[0]):
-                best = (b, length + 1)
+    for start, length in _runs(ds):
+        covered = set()
+        for j in range(length - 1, -1, -1):
+            b = (start + j) % n
+            covered.add(leader_of[b])
+            if b in anchors and len(covered) == total:
+                delta = length - j + 1
+                if b == 0:
+                    c0 = True
+                if best is None or delta > best[1] or (delta == best[1] and b < best[0]):
+                    best = (b, delta)
     if best is None:
         return Recognition(is_bch=False, witness=None)
     return Recognition(is_bch=True, witness=best, c0_anchored=c0)
 
 
 def dually_bch_length(q: int, m: int, family: str) -> int:
-    """Family length n of a point where the dually-BCH decision applies (m >= 4)."""
+    """Family length n of a point where the dually-BCH decision applies (q a prime power, m >= 4)."""
+    gf.prime_power(q)
     if m < 4:
         raise FamilyConstraint(f"need m >= 4, got m={m}")
     return cosets.family_length(q, m, family)

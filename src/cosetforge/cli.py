@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 
 from . import bch, cosets, distance, gf, verify
-from .errors import CosetForgeError, UsageError
+from .errors import SWEEP_GUARD, CosetForgeError, OrderTooLarge, UsageError
 
 ELIDE_DEFAULT = 128
 
@@ -87,6 +87,12 @@ def _witness_doc(witness) -> dict | None:
     return {"b": witness[0], "delta": witness[1]}
 
 
+def _recognition_doc(tperp) -> dict:
+    """Whether the dual defining set is BCH-shaped (an empty one counts), with its witness."""
+    rec = bch.recognize_bch(tperp)
+    return {"verdict": bool(rec.is_bch or rec.empty), "witness": _witness_doc(rec.witness)}
+
+
 def _resolve_n(args) -> int:
     if args.n is not None:
         return args.n
@@ -153,8 +159,7 @@ def _distance_doc(t, code, args, bounds: dict) -> dict:
 def _cmd_code(args) -> tuple[dict, int]:
     t, code = bch.build_family_code(args.q, args.m, args.family, args.delta, b=args.b, n=args.n)
     doc = _code_summary(code)
-    rec = bch.recognize_bch(bch.dual_defining_set(code.defining))
-    doc["dually_bch"] = {"verdict": bool(rec.is_bch or rec.empty), "witness": _witness_doc(rec.witness)}
+    doc["dually_bch"] = _recognition_doc(bch.dual_defining_set(code.defining))
     if args.true_distance:
         doc["distance"] = _distance_doc(t, code, args, {"designed": code.delta, "bch_run": code.bch_bound})
     return doc, 0
@@ -163,7 +168,6 @@ def _cmd_code(args) -> tuple[dict, int]:
 def _cmd_dual(args) -> tuple[dict, int]:
     t, code = bch.build_family_code(args.q, args.m, args.family, args.delta, b=args.b, n=args.n)
     dual = bch.dual_code(t, code)
-    rec = bch.recognize_bch(dual.defining)
     bounds = {"bch_run": bch.bch_bound(dual.defining)}
     if args.family == cosets.PLUS and args.b == 1:
         bounds["closed_form"] = distance.dual_bound_closed_form(args.q, args.m, args.delta)
@@ -174,7 +178,7 @@ def _cmd_dual(args) -> tuple[dict, int]:
             "dim": dual.dimension,
             "defining_set_size": dual.defining.size,
             "genpoly_degree": len(dual.genpoly.coeffs) - 1,
-            "recognized": {"verdict": bool(rec.is_bch or rec.empty), "witness": _witness_doc(rec.witness)},
+            "recognized": _recognition_doc(dual.defining),
         },
         "bounds": bounds,
     }
@@ -189,6 +193,9 @@ def _cmd_dually_bch(args) -> tuple[dict, int]:
     n = bch.dually_bch_length(args.q, args.m, args.family)
     base = {"q": args.q, "m": args.m, "family": args.family, "n": n}
     if args.sweep:
+        cosets.check_table_size(n)  # the table-size guard speaks first, as on every other path
+        if n > SWEEP_GUARD:
+            raise OrderTooLarge(f"n = {n} exceeds the sweep-output guard {SWEEP_GUARD}; use --delta for single points")
         verdicts = bch.dually_bch_sweep(args.q, n)
         sweep = [{"delta": d, "verdict": bool(v)} for d, v in zip(range(2, n + 1), verdicts)]
         base.update({"sweep": sweep, "true_intervals": verify._intervals(verdicts, 2)})

@@ -157,7 +157,10 @@ def min_distance_enumerate(
         return DistanceResult(d=wc.min_positive_weight(), method=chosen, enumerated=q ** (n - k))
     if method == "bound-only" or (method == "auto" and allow_bound_only):
         return DistanceResult(d=None, method="bound-only", enumerated=0)
-    raise BudgetExceeded(f"neither q^{k} nor q^{n - k} fits budget {b}")
+    if method == "auto":
+        raise BudgetExceeded(f"neither q^k = {q}^{k} nor q^(n-k) = {q}^{n - k} codewords fit budget {b}")
+    need = f"q^k = {q}^{k}" if method == "direct" else f"q^(n-k) = {q}^{n - k}"
+    raise BudgetExceeded(f"method {method} needs {need} codewords, over budget {b}")
 
 
 def macwilliams_transform(w: WeightEnumerator, q: int, k_dual: int) -> WeightEnumerator:

@@ -1,10 +1,18 @@
-"""Exception types, and the table-size guard, shared across the package."""
+"""Exception types, and the size guards, shared across the package."""
 
 # Largest field order or modulus n given a full table (field tables, leader
 # maps, residue sets).  A 2^26-element tower builds in about 35 s with
 # 0.55 GB resident on a 2-vCPU Xeon VM; 2^27 would need 1 GiB for its two
 # int32 tables alone.
 ORDER_GUARD = 2**26
+
+# Largest n for which `dually-bch --sweep` renders its output: the JSON
+# report holds one dict per delta, about 0.8 KB of memory each at its
+# peak.  Under `ulimit -v 1048576` (Python 3.11, numpy 2.4.6),
+# n = 1,082,401 (q = 32, m = 5, minus) finishes at 891 MB peak RSS and
+# n = 1,103,440 (q = 103, m = 4, minus) raises MemoryError; table and csv
+# output peak lower (549 MB at 1,082,401).
+SWEEP_GUARD = 1_082_401
 
 
 class CosetForgeError(Exception):
@@ -16,7 +24,7 @@ class NotPrime(CosetForgeError, ValueError):
 
 
 class OrderTooLarge(CosetForgeError, ValueError):
-    """Field order or modulus n exceeds ORDER_GUARD, the table-size guard."""
+    """Field order or modulus n exceeds ORDER_GUARD, or a sweep's n exceeds SWEEP_GUARD."""
 
 
 class LevelMismatch(CosetForgeError, ValueError):
@@ -72,6 +80,9 @@ class NonIntegerTransform(CosetForgeError, RuntimeError):
 
 class UnknownClaim(CosetForgeError, KeyError):
     """Claim id not present in the registry."""
+
+    def __str__(self) -> str:  # KeyError's own str() is the repr of the id
+        return f"unknown claim id {self.args[0]!r}; `cosetforge claims` lists the registry"
 
 
 class GridTooLarge(CosetForgeError, ValueError):

@@ -87,6 +87,64 @@ def test_dual_defining_set_duality_property(data):
     assert not tperp.exponents & {(n - x) % n for x in t.exponents}
 
 
+def longest_run(exps, n):
+    """Reference: the longest cyclic run, walked forward from every run start."""
+    if len(exps) == n:
+        return n
+    best = 0
+    for x in exps:
+        if (x - 1) % n not in exps:
+            length = 1
+            while (x + length) % n in exps:
+                length += 1
+            best = max(best, length)
+    return best
+
+
+def per_anchor_scan(ds):
+    """Reference recognition: walk the run forward from every anchor and
+    collect the leaders it covers (quadratic in the run length)."""
+    exps, n = ds.exponents, ds.n
+    if not exps:
+        return bch.Recognition(is_bch=False, witness=None, empty=True)
+    if len(exps) == n:
+        candidates = [(x + 1) % n for x in range(n) if x * ds.q % n != x]
+        if not candidates:
+            return bch.Recognition(is_bch=False, witness=None)
+        return bch.Recognition(is_bch=True, witness=(min(candidates), n), c0_anchored=(n - 1) * ds.q % n != n - 1)
+    total = len(ds.source_cosets)
+    best, c0 = None, False
+    for b in sorted(set(ds.source_cosets) | ({0} if 0 in exps else set())):
+        length = 0
+        while length < n and (b + length) % n in exps:
+            length += 1
+        if len({naive_leader(ds.q, n, b + j) for j in range(length)}) == total:
+            c0 = c0 or b == 0
+            if best is None or length + 1 > best[1] or (length + 1 == best[1] and b < best[0]):
+                best = (b, length + 1)
+    if best is None:
+        return bch.Recognition(is_bch=False, witness=None)
+    return bch.Recognition(is_bch=True, witness=best, c0_anchored=c0)
+
+
+def recognition_sets():
+    """Every distinct T and T_perp over b in {0, 1, 3} and every delta, on small moduli.
+
+    With q = 1 mod n every coset is a singleton, so windows wrap through n-1 -> 0.
+    """
+    moduli = SWEEP_MODULI[:4] + [qn for qn in family_moduli(200) if qn not in SWEEP_MODULI[:4]]
+    moduli += [(5, 4), (7, 6), (9, 8)]
+    seen = set()
+    for q, n in moduli:
+        for b in (0, 1, 3):
+            for delta in range(2, n + 1):
+                t = bch.defining_set(q, n, delta, b)
+                for ds in (t, bch.dual_defining_set(t)):
+                    if (q, n, ds.exponents) not in seen:
+                        seen.add((q, n, ds.exponents))
+                        yield ds
+
+
 def test_bch_bound_examples():
     assert bch.bch_bound(bch.defining_set(2, 21, 9, 1)) >= 9
     run = bch.DefiningSet(3, 20, frozenset(range(11)), (0, 1, 2, 4, 5, 10))
@@ -97,6 +155,16 @@ def test_bch_bound_examples():
     # wrap-around run
     wrap = bch.DefiningSet(3, 20, frozenset({19, 0, 1, 2, 7}), ())
     assert bch.bch_bound(wrap) == 5
+    for ds in recognition_sets():
+        assert bch.bch_bound(ds) == longest_run(ds.exponents, ds.n) + 1, (ds.q, ds.n, ds.source_cosets)
+
+
+def test_recognize_bch_matches_per_anchor_scan():
+    count = 0
+    for ds in recognition_sets():
+        assert bch.recognize_bch(ds) == per_anchor_scan(ds), (ds.q, ds.n, ds.source_cosets)
+        count += 1
+    assert count > 800
 
 
 def test_recognize_bch_examples():

@@ -207,3 +207,43 @@ def test_single_coset_at_huge_modulus(capsys):
     rc, out, _ = run_cli(capsys, "cosets", *HUGE, "--coset", "1", "--max-elements", "0")
     assert rc == 0
     assert json.loads(out) == {"leader": 1, "n": (3**40 - 1) // 4, "q": 3, "size": 40}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "6", "--m", "4", "--family", "plus", "--delta", "3"],
+        ["--q", "10", "--m", "4", "--family", "minus", "--sweep"],
+    ],
+)
+def test_dually_bch_needs_prime_power_q(capsys, argv):
+    rc, out, err = run_cli(capsys, "dually-bch", *argv)
+    assert rc == 1 and not out and "is not a prime power" in err
+
+
+def test_sweep_over_output_guard_is_domain_error(capsys, monkeypatch):
+    # n = (2^22 - 1)/3 = 1,398,101 is under the table-size guard but over the sweep-output guard
+    def never(*args):
+        raise AssertionError("the guard must fire before any table is built")
+
+    monkeypatch.setattr(cli.bch, "dually_bch_sweep", never)
+    monkeypatch.setattr(cli.cosets, "leader_map", never)
+    rc, out, err = run_cli(capsys, "dually-bch", "--q", "2", "--m", "22", "--family", "plus", "--sweep")
+    assert rc == 1 and not out
+    assert "n = 1398101 exceeds the sweep-output guard 1082401" in err
+
+
+def test_budget_error_names_the_requested_method(capsys):
+    # [20, 16] code over GF(3): 3^4 dual words fit the budget, but --method direct needs 3^16
+    argv = ["code", "--q", "3", "--m", "4", "--family", "plus", "--delta", "2", "--true-distance", "--max-codewords", "100"]
+    rc, out, err = run_cli(capsys, *argv, "--method", "direct")
+    assert rc == 1 and not out
+    assert err == "error: method direct needs q^k = 3^16 codewords, over budget 100\n"
+    rc, out, err = run_cli(capsys, *argv[:-1], "10", "--method", "dual-macwilliams")
+    assert rc == 1 and err == "error: method dual-macwilliams needs q^(n-k) = 3^4 codewords, over budget 10\n"
+
+
+def test_unknown_claim_message(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--claim", "CLM-XYZ")
+    assert rc == 1 and not out
+    assert err == "error: unknown claim id 'CLM-XYZ'; `cosetforge claims` lists the registry\n"
