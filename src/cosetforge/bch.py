@@ -10,37 +10,55 @@ BCH when it equals the coset closure of a consecutive window
 runs; ``bch_bound`` is the longest plus one, and ``recognize_bch`` walks
 each run once from its end, anchoring b at coset leaders (and 0) so that
 witnesses are canonical: largest delta, then smallest b.
-Defining sets are boolean masks over ``cosets.leader_map``; ``recognize_bch``
-walks its own orbits on purpose, as the independent check of the O(n) sweep.
+A defining set is stored once, as its boolean mask over Z_n (one byte per
+residue) built from ``cosets.leader_map``.  ``recognize_bch`` walks its own
+orbits on purpose, as the independent check of the O(n) sweep, and keeps
+their leaders in an int32 array (four bytes per residue).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import cosets, gf
-from .errors import DeltaOutOfRange, FamilyConstraint, NotCoprime, TowerMismatch
+from .errors import DeltaOutOfRange, FamilyConstraint, NotCoprime, OutOfRange, TowerMismatch, UsageError
 
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A coset-closed set of exponents modulo n."""
+    """A coset-closed set of exponents modulo n, stored as its mask.
+
+    ``bits`` takes a length-n boolean array and keeps its bytes, so sets compare
+    and hash by value; ``mask`` is a read-only, zero-copy view of them.
+    """
 
     q: int
     n: int
-    exponents: frozenset[int]
+    bits: bytes = field(repr=False)
     source_cosets: tuple[int, ...]  # leaders of the cosets composing the set
+
+    def __post_init__(self):
+        mask = np.asarray(self.bits, dtype=bool)
+        if mask.shape != (self.n,):
+            raise OutOfRange(f"mask of shape {mask.shape} for a set modulo n = {self.n}")
+        object.__setattr__(self, "bits", mask.tobytes())
+
+    @property
+    def mask(self) -> np.ndarray:
+        return np.frombuffer(self.bits, dtype=bool)
 
     @property
     def size(self) -> int:
-        return len(self.exponents)
+        return int(np.count_nonzero(self.mask))
 
-    def sorted_exponents(self) -> list[int]:
-        return sorted(self.exponents)
+    @property
+    def exponents(self) -> frozenset[int]:
+        """The members as Python ints, for callers outside the package (tens of bytes each)."""
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
 
 @dataclass(frozen=True)
@@ -93,17 +111,10 @@ class BchCode:
 
 
 def _make_defining_set(q: int, n: int, mask: np.ndarray) -> DefiningSet:
-    """The residues x with mask[x]; mask must be coset-closed, so it holds its leaders."""
-    exps = np.flatnonzero(mask)
-    sources = exps[cosets.leader_map(q, n)[exps] == exps]
-    return DefiningSet(q=q, n=n, exponents=frozenset(exps.tolist()), source_cosets=tuple(sources.tolist()))
-
-
-def _mask(ds: DefiningSet) -> np.ndarray:
-    """Boolean array over Z_n marking the exponents of the set."""
-    mask = np.zeros(ds.n, dtype=bool)
-    mask[np.fromiter(ds.exponents, dtype=np.int64, count=ds.size)] = True
-    return mask
+    """The set marked by mask; mask must be coset-closed, so it holds its leaders (L[x] = x)."""
+    lead = cosets.leader_map(q, n)
+    sources = np.flatnonzero(mask & (lead == np.arange(n, dtype=lead.dtype)))
+    return DefiningSet(q, n, mask, tuple(sources.tolist()))
 
 
 def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
@@ -121,87 +132,72 @@ def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
 def dual_defining_set(ds: DefiningSet) -> DefiningSet:
     """T_perp = Z_n \\ T^{-1}; coset-closed because T is."""
     cosets.check_table_size(ds.n)
-    return _make_defining_set(ds.q, ds.n, ~np.roll(_mask(ds)[::-1], 1))  # rolled reversal: x -> (n - x) mod n
+    return _make_defining_set(ds.q, ds.n, ~np.roll(ds.mask[::-1], 1))  # rolled reversal: x -> (n - x) mod n
 
 
-def _runs(ds: DefiningSet) -> list[list[int]]:
-    """Maximal cyclic runs [start, length] of a set neither empty nor full.
+def _runs(mask: np.ndarray) -> tuple[list[int], list[int]]:
+    """Starts and lengths of the maximal cyclic runs of a mask neither empty nor full.
 
-    Sorted members extend the last run while they stay consecutive; a run
-    ending at n-1 and one starting at 0 are one run through the wrap-around.
+    Rolling the first non-member to index 0 leaves no run through the
+    wrap-around; runs then start and stop where the rolled mask changes.
     """
-    runs: list[list[int]] = []
-    for x in ds.sorted_exponents():
-        if runs and x == runs[-1][0] + runs[-1][1]:
-            runs[-1][1] += 1
-        else:
-            runs.append([x, 1])
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][0] + runs[-1][1] == ds.n:
-        runs[-1][1] += runs.pop(0)[1]
-    return runs
+    z = int(np.argmin(mask))
+    edges = np.flatnonzero(np.diff(np.roll(mask, -z), prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    return ((starts + z) % mask.size).tolist(), (stops - starts).tolist()
 
 
 def bch_bound(ds: DefiningSet) -> int:
     """Longest cyclically-consecutive run inside the set, plus one."""
-    if not ds.exponents:
-        return 1
-    if ds.size == ds.n:
-        return ds.n + 1
-    return max(length for _, length in _runs(ds)) + 1
+    size = ds.size
+    if size in (0, ds.n):  # no run, or all of Z_n
+        return size + 1
+    return max(_runs(ds.mask)[1]) + 1
 
 
 def recognize_bch(ds: DefiningSet) -> Recognition:
     """Decide whether the set is a coset closure of a consecutive window.
 
-    Anchors b range over the set's coset leaders plus 0; the window of an
-    anchor runs from b to the end of its cyclic run.  Each run is walked
-    once, backwards, adding one leader per step to the cosets covered from
-    there to the run end.  Among valid witnesses, delta is maximized and
-    then b minimized.
+    Anchors b range over the set's coset leaders (0 among them when it is a
+    member); the window of an anchor runs from b to the end of its cyclic
+    run.  Each run is walked once, backwards, adding one leader per step to
+    the cosets covered from there to the run end.  Among valid witnesses,
+    delta is maximized and then b minimized.
     """
-    exps = ds.exponents
-    n = ds.n
-    if not exps:
+    n, q, size = ds.n, ds.q, ds.size
+    if size == 0:
         return Recognition(is_bch=False, witness=None, empty=True)
-    if len(exps) == n:
+    if size == n:
         # window of n-1 residues misses exactly one; any missed residue whose
         # coset is larger than itself keeps the closure equal to Z_n
-        candidates = []
-        for x in range(n):
-            if x * ds.q % n != x:
-                candidates.append((x + 1) % n)
-        if not candidates:
+        b = min(((x + 1) % n for x in range(n) if x * q % n != x), default=None)
+        if b is None:
             return Recognition(is_bch=False, witness=None)
-        b = min(candidates)
-        return Recognition(is_bch=True, witness=(b, n), c0_anchored=(n - 1) * ds.q % n != n - 1)
+        return Recognition(is_bch=True, witness=(b, n), c0_anchored=(n - 1) * q % n != n - 1)
 
-    leader_of = {}
+    runs = _runs(ds.mask)  # before leader_of, so their temporaries never coexist
+    leader_of = np.full(n, -1, dtype=np.int32)  # leader_of[x]: the source coset walked through x
     for lead in ds.source_cosets:
         x = lead
-        while True:
+        while leader_of.item(x) != lead:  # unmarked until the orbit closes
             leader_of[x] = lead
-            x = x * ds.q % n
-            if x == lead:
-                break
+            x = x * q % n
     total = len(ds.source_cosets)
 
-    anchors = set(ds.source_cosets) | {0}
     best: tuple[int, int] | None = None
     c0 = False
-    for start, length in _runs(ds):
+    for start, length in zip(*runs):
         covered = set()
         for j in range(length - 1, -1, -1):
             b = (start + j) % n
-            covered.add(leader_of[b])
-            if b in anchors and len(covered) == total:
+            lead = leader_of.item(b)
+            covered.add(lead)
+            if lead == b and len(covered) == total:
                 delta = length - j + 1
-                if b == 0:
-                    c0 = True
+                c0 = c0 or b == 0
                 if best is None or delta > best[1] or (delta == best[1] and b < best[0]):
                     best = (b, delta)
-    if best is None:
-        return Recognition(is_bch=False, witness=None)
-    return Recognition(is_bch=True, witness=best, c0_anchored=c0)
+    return Recognition(is_bch=best is not None, witness=best, c0_anchored=c0)
 
 
 def dually_bch_length(q: int, m: int, family: str) -> int:
@@ -216,21 +212,17 @@ def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
     """Whether the narrow-sense code of the family is dually-BCH at delta."""
     n = dually_bch_length(q, m, family)
     tperp = dual_defining_set(defining_set(q, n, delta, 1))
-    if not tperp.exponents:
+    if tperp.size == 0:
         return DuallyBchResult(verdict=True, witness=None, tperp=tperp, empty_dual=True)
     rec = recognize_bch(tperp)
     return DuallyBchResult(verdict=rec.is_bch, witness=rec.witness, tperp=tperp)
 
 
 def i_of_delta(q: int, n: int, delta: int) -> int:
-    """Smallest i not in T_perp for the narrow-sense code (always >= 1)."""
+    """Smallest i not in T_perp for the narrow-sense code (always >= 1; n - 1 is never in T_perp)."""
     if not 2 <= delta < n:
         raise DeltaOutOfRange(f"delta={delta} outside [2, {n})")
-    tperp = dual_defining_set(defining_set(q, n, delta, 1))
-    i = 0
-    while i in tperp.exponents:
-        i += 1
-    return i
+    return int(np.argmin(dual_defining_set(defining_set(q, n, delta, 1)).mask))  # first False
 
 
 @lru_cache(maxsize=None)
@@ -295,10 +287,6 @@ def _minpoly_product(t: gf.FieldTower, n: int, leaders) -> gf.Polynomial:
     return out
 
 
-def _complement_sources(ds: DefiningSet) -> tuple[int, ...]:
-    return _make_defining_set(ds.q, ds.n, ~_mask(ds)).source_cosets
-
-
 def generator_polynomial(t: gf.FieldTower, ds: DefiningSet) -> gf.Polynomial:
     """Monic divisor of x^n - 1 whose root exponents are exactly the set.
 
@@ -312,7 +300,7 @@ def generator_polynomial(t: gf.FieldTower, ds: DefiningSet) -> gf.Polynomial:
     if ds.size <= k:
         g = _minpoly_product(t, n, ds.source_cosets)
     else:
-        h = _minpoly_product(t, n, _complement_sources(ds))
+        h = _minpoly_product(t, n, _make_defining_set(ds.q, n, ~ds.mask).source_cosets)
         g, rem = gf.poly_divmod(t, gf.xn_minus_one(t, n), h)
         assert rem.is_zero()
     assert g.degree == ds.size or (ds.size == 0 and g.degree == 0)
@@ -353,13 +341,15 @@ def bch_code(t: gf.FieldTower, n: int, delta: int, b: int = 1, family: str = "ra
 def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: int | None = None):
     """Build tower and code for a family point; returns (tower, code).
 
-    family "raw" takes an explicit n (must divide q^m - 1).
+    family "raw" takes an explicit n (must divide q^m - 1), and only it does.
     """
     if family in cosets.FAMILIES:
+        if n is not None:
+            raise UsageError(f"family {family!r} derives n from q and m; an explicit n is for family 'raw'")
         n = cosets.family_length(q, m, family)
     elif family == "raw":
         if n is None:
-            raise FamilyConstraint("family 'raw' needs an explicit n")
+            raise UsageError("family 'raw' needs an explicit n")
     else:
         raise FamilyConstraint(f"unknown family {family!r}")
     t = gf.tower_for(q, m)

@@ -95,6 +95,8 @@ def _recognition_doc(tperp) -> dict:
 
 def _resolve_n(args) -> int:
     if args.n is not None:
+        if args.m is not None or args.family is not None:
+            raise UsageError("give --n, or --m with --family, not both")
         return args.n
     if args.family in cosets.FAMILIES and args.m is not None:
         return cosets.family_length(args.q, args.m, args.family)
@@ -120,6 +122,8 @@ def _parse_grid(spec: str | None) -> dict | None:
 
 
 def _cmd_cosets(args) -> tuple[dict, int]:
+    if args.top is not None and args.coset is not None:
+        raise UsageError("need at most one of --top and --coset")
     n = _resolve_n(args)
     if args.top is not None:
         return {"q": args.q, "n": n, "top": cosets.top_k_leaders(args.q, n, args.top)}, 0

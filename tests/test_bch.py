@@ -1,12 +1,14 @@
 """Defining sets, recognition, duals, and the dually-BCH decision."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetforge import bch, cosets, gf
-from cosetforge.errors import DeltaOutOfRange, FamilyConstraint, TowerMismatch
+from cosetforge.errors import DeltaOutOfRange, FamilyConstraint, OutOfRange, TowerMismatch, UsageError
 
 
 def closure(q, n, indices):
@@ -28,6 +30,11 @@ def mask(n, residues):
     out = np.zeros(n, dtype=bool)
     out[list(residues)] = True
     return out
+
+
+def from_residues(q, n, residues, sources):
+    """A DefiningSet over the residues; the constructor takes their mask."""
+    return bch.DefiningSet(q, n, mask(n, residues), sources)
 
 
 def test_defining_set_examples():
@@ -56,10 +63,31 @@ def test_dual_defining_set_examples():
     assert dd.exponents == frozenset(range(20)) - {19, 17, 13, 11}
     assert dd.size == 16
 
-    empty = bch.DefiningSet(3, 20, frozenset(), ())
+    empty = from_residues(3, 20, frozenset(), ())
     assert bch.dual_defining_set(empty).size == 20
-    full = bch.DefiningSet(3, 20, frozenset(range(20)), tuple(cosets.coset_leaders(3, 20)))
+    full = from_residues(3, 20, frozenset(range(20)), tuple(cosets.coset_leaders(3, 20)))
     assert bch.dual_defining_set(full).size == 0
+
+
+def test_defining_set_rejects_mis_sized_mask():
+    for bits in (np.zeros(19, dtype=bool), np.zeros(21, dtype=bool), np.zeros((4, 5), dtype=bool), frozenset({1, 3, 7, 9})):
+        with pytest.raises(OutOfRange):
+            bch.DefiningSet(3, 20, bits, (1,))
+
+
+def test_defining_set_memory_per_residue():
+    # the set, its dual and the recognition walk cost a few bytes per residue,
+    # not a Python object per member
+    q, m, n = 2, 16, 21845
+    cosets.leader_map(q, n)  # cached table, shared by every set modulo n
+    tracemalloc.start()
+    try:
+        res = bch.is_dually_bch(q, m, "plus", 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.tperp.n == n and not res.verdict
+    assert peak < 48 * n, peak / n
 
 
 def test_dual_defining_set_coset_closed():
@@ -78,7 +106,7 @@ def test_dual_defining_set_duality_property(data):
     q, n = data.draw(st.sampled_from(DUALITY_MODULI))
     leaders = sorted({naive_leader(q, n, x) for x in range(1, n)})
     chosen = data.draw(st.lists(st.sampled_from(leaders), unique=True))
-    t = bch.DefiningSet(q, n, frozenset(closure(q, n, chosen)), tuple(sorted(chosen)))
+    t = from_residues(q, n, frozenset(closure(q, n, chosen)), tuple(sorted(chosen)))
     tperp = bch.dual_defining_set(t)
     assert bch.dual_defining_set(tperp) == t
     assert tperp.size == n - t.size
@@ -147,13 +175,13 @@ def recognition_sets():
 
 def test_bch_bound_examples():
     assert bch.bch_bound(bch.defining_set(2, 21, 9, 1)) >= 9
-    run = bch.DefiningSet(3, 20, frozenset(range(11)), (0, 1, 2, 4, 5, 10))
+    run = from_residues(3, 20, frozenset(range(11)), (0, 1, 2, 4, 5, 10))
     assert bch.bch_bound(run) == 12
-    single = bch.DefiningSet(2, 21, frozenset({5}), (5,))
+    single = from_residues(2, 21, frozenset({5}), (5,))
     assert bch.bch_bound(single) == 2
-    assert bch.bch_bound(bch.DefiningSet(2, 21, frozenset(), ())) == 1
+    assert bch.bch_bound(from_residues(2, 21, frozenset(), ())) == 1
     # wrap-around run
-    wrap = bch.DefiningSet(3, 20, frozenset({19, 0, 1, 2, 7}), ())
+    wrap = from_residues(3, 20, frozenset({19, 0, 1, 2, 7}), ())
     assert bch.bch_bound(wrap) == 5
     for ds in recognition_sets():
         assert bch.bch_bound(ds) == longest_run(ds.exponents, ds.n) + 1, (ds.q, ds.n, ds.source_cosets)
@@ -179,7 +207,7 @@ def test_recognize_bch_examples():
     c1c5 = bch._make_defining_set(2, 21, mask(21, closure(2, 21, [1, 5])))
     assert not bch.recognize_bch(c1c5).is_bch
 
-    assert bch.recognize_bch(bch.DefiningSet(2, 21, frozenset(), ())).empty
+    assert bch.recognize_bch(from_residues(2, 21, frozenset(), ())).empty
 
 
 def test_recognize_bch_reconstructs_window():
@@ -421,3 +449,15 @@ def test_bch_code_dimensions():
         assert (code.n, code.dimension) == (n, k)
         assert code.bch_bound >= delta
         assert code.genpoly.degree == code.defining.size
+
+
+def test_build_family_code_length_arguments():
+    with pytest.raises(UsageError):
+        bch.build_family_code(3, 4, "plus", 3, n=20)  # plus and minus derive n themselves
+    with pytest.raises(UsageError):
+        bch.build_family_code(3, 4, "minus", 3, n=40)
+    with pytest.raises(UsageError):
+        bch.build_family_code(3, 4, "raw", 3)
+    with pytest.raises(FamilyConstraint):
+        bch.build_family_code(3, 4, "other", 3)
+    assert bch.build_family_code(3, 4, "raw", 3, n=20)[1].n == 20

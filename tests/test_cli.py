@@ -186,6 +186,13 @@ def test_dually_bch_needs_m_at_least_4(capsys, mode):
         ["verify"],
         ["verify", "--claim", "CLM-D1P", "--all", "--grid", "q=3,m=4"],
         ["cosets", "--q", "3"],
+        ["cosets", "--q", "3", "--n", "20", "--m", "4", "--top", "1"],
+        ["cosets", "--q", "3", "--n", "20", "--family", "plus", "--top", "1"],
+        ["cosets", "--q", "2", "--n", "21", "--top", "3", "--coset", "5"],
+        ["code", "--q", "3", "--m", "4", "--family", "plus", "--n", "20", "--delta", "3"],
+        ["dual", "--q", "3", "--m", "4", "--family", "minus", "--n", "40", "--delta", "3"],
+        ["code", "--q", "3", "--m", "4", "--family", "raw", "--delta", "3"],
+        ["dual", "--q", "3", "--m", "4", "--family", "raw", "--delta", "3"],
     ],
 )
 def test_missing_or_conflicting_arguments_are_usage_errors(capsys, argv):
