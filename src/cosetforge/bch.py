@@ -160,8 +160,9 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
 
     Anchors b range over the set's coset leaders (0 among them when it is a
     member); the window of an anchor runs from b to the end of its cyclic
-    run.  Each run is walked once, backwards, adding one leader per step to
-    the cosets covered from there to the run end.  Among valid witnesses,
+    run.  Each run is walked once, backwards, marking one leader per step in
+    a byte per residue and counting the cosets covered from there to the
+    run end; the run's marks are cleared after it.  Among valid witnesses,
     delta is maximized and then b minimized.
     """
     n, q, size = ds.n, ds.q, ds.size
@@ -186,17 +187,24 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
 
     best: tuple[int, int] | None = None
     c0 = False
+    seen = bytearray(n)  # seen[lead]: coset lead is covered from b to the run end
+    marks = np.frombuffer(seen, dtype=np.uint8)  # the same bytes, for unmarking a run at once
     for start, length in zip(*runs):
-        covered = set()
+        covered = 0
         for j in range(length - 1, -1, -1):
             b = (start + j) % n
             lead = leader_of.item(b)
-            covered.add(lead)
-            if lead == b and len(covered) == total:
+            if not seen[lead]:
+                seen[lead] = 1
+                covered += 1
+            if lead == b and covered == total:
                 delta = length - j + 1
                 c0 = c0 or b == 0
                 if best is None or delta > best[1] or (delta == best[1] and b < best[0]):
                     best = (b, delta)
+        # unmark this run's cosets; only the last run (it ends just before the
+        # first non-member) can wrap past n - 1, and no run follows it
+        marks[leader_of[start : start + length]] = 0
     return Recognition(is_bch=best is not None, witness=best, c0_anchored=c0)
 
 

@@ -4,6 +4,13 @@ All reported quantities are integers or booleans; JSON output is canonical
 (sorted keys, two-space indent), so re-parsing and re-serializing a report
 reproduces it byte for byte.  Exit codes: 0 success, 1 domain error,
 2 usage error, 3 at least one verification point failed.
+
+`dually-bch --sweep` keeps its verdicts as the boolean vector from
+`bch.dually_bch_sweep` up to output.  Its rows come from one preformatted
+template per format and verdict, written SWEEP_BLOCK rows at a time, so the
+report needs no memory per delta beyond the vector itself (one byte); the
+header fields still go through json.dumps, with the same bytes as dumping
+one dict per delta.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from . import bch, cosets, distance, gf, verify
 from .errors import SWEEP_GUARD, CosetForgeError, OrderTooLarge, UsageError
 
 ELIDE_DEFAULT = 128
+SWEEP_BLOCK = 1 << 16  # sweep rows per rendered piece
 
 
 def _dump_json(doc) -> str:
@@ -44,11 +52,6 @@ def _rows_for(doc) -> list[list[str]]:
         return rows
     if isinstance(doc, dict) and "points" in doc:
         return _rows_for({"claims": [doc]})
-    if isinstance(doc, dict) and "sweep" in doc:
-        rows = [["delta", "verdict"]]
-        for entry in doc["sweep"]:
-            rows.append([str(entry["delta"]), _cell(entry["verdict"])])
-        return rows
     rows = [["key", "value"]]
 
     def walk(prefix, value):
@@ -62,23 +65,53 @@ def _rows_for(doc) -> list[list[str]]:
     return rows
 
 
-def _render(doc, fmt: str) -> str:
+def _sweep_pieces(doc, fmt: str):
+    """A sweep report in pieces, its rows formatted straight from the verdict vector.
+
+    Each format has one row template, preformatted once per verdict (false,
+    true), and row j is that template applied to delta = j + 2.  Rows come
+    SWEEP_BLOCK at a time, so no piece spans the sweep.  The JSON header
+    fields still go through _dump_json, with the rows spliced in where the
+    empty list sits (a sweep is never empty: delta runs over [2, n], n >= 5).
+    """
+    width = max(len("delta"), len(str(doc["n"])))
+    row = {"json": '    {\n      "delta": %d,\n      "verdict": VERDICT\n    }', "csv": "%d,VERDICT", "table": f"%-{width}d  VERDICT"}[fmt]
+    templates = [row.replace("VERDICT", word) for word in ("false", "true")]
     if fmt == "json":
-        return _dump_json(doc)
+        head, _, tail = _dump_json({**doc, "sweep": []}).partition('"sweep": []')
+        sep, opening, closing = ",\n", head + '"sweep": [\n', "\n  ]" + tail
+    else:
+        header = "delta,verdict" if fmt == "csv" else "delta".ljust(width) + "  verdict"
+        sep, opening, closing = "\n", header + "\n", "\n"
+    verdicts = doc["sweep"]
+    yield opening
+    for lo in range(0, verdicts.size, SWEEP_BLOCK):
+        if lo:
+            yield sep
+        yield sep.join([templates[v] % d for d, v in enumerate(verdicts[lo : lo + SWEEP_BLOCK].tolist(), lo + 2)])
+    yield closing
+
+
+def _render(doc, fmt: str):
+    """The report as a sequence of text pieces; only a sweep has more than one."""
+    if isinstance(doc, dict) and "sweep" in doc:
+        return _sweep_pieces(doc, fmt)
+    if fmt == "json":
+        return [_dump_json(doc)]
     rows = _rows_for(doc)
     if fmt == "csv":
-        return "\n".join(",".join('"' + c.replace('"', '""') + '"' if ("," in c or '"' in c) else c for c in row) for row in rows) + "\n"
+        return ["\n".join(",".join('"' + c.replace('"', '""') + '"' if ("," in c or '"' in c) else c for c in row) for row in rows) + "\n"]
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows) + "\n"
+    return ["\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows) + "\n"]
 
 
 def _emit(doc, args) -> None:
-    text = _render(doc, args.format)
+    pieces = _render(doc, args.format)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _witness_doc(witness) -> dict | None:
@@ -201,8 +234,7 @@ def _cmd_dually_bch(args) -> tuple[dict, int]:
         if n > SWEEP_GUARD:
             raise OrderTooLarge(f"n = {n} exceeds the sweep-output guard {SWEEP_GUARD}; use --delta for single points")
         verdicts = bch.dually_bch_sweep(args.q, n)
-        sweep = [{"delta": d, "verdict": bool(v)} for d, v in zip(range(2, n + 1), verdicts)]
-        base.update({"sweep": sweep, "true_intervals": verify._intervals(verdicts, 2)})
+        base.update({"sweep": verdicts, "true_intervals": verify._intervals(verdicts, 2)})
         return base, 0
     res = bch.is_dually_bch(args.q, args.m, args.family, args.delta)
     base.update({"delta": args.delta, "verdict": res.verdict, "witness": _witness_doc(res.witness)})

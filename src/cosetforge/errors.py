@@ -6,13 +6,14 @@
 # int32 tables alone.
 ORDER_GUARD = 2**26
 
-# Largest n for which `dually-bch --sweep` renders its output: the JSON
-# report holds one dict per delta, about 0.8 KB of memory each at its
-# peak.  Under `ulimit -v 1048576` (Python 3.11, numpy 2.4.6),
-# n = 1,082,401 (q = 32, m = 5, minus) finishes at 891 MB peak RSS and
-# n = 1,103,440 (q = 103, m = 4, minus) raises MemoryError; table and csv
-# output peak lower (549 MB at 1,082,401).
-SWEEP_GUARD = 1_082_401
+# Largest n for which `dually-bch --sweep` runs.  The report is written a
+# block of rows at a time from the verdict vector, so its peak is set by the
+# sweep's tables, about 65 bytes per delta while bch._i_of_delta_table is
+# built.  In-process `cli.main` under RLIMIT_AS = 1 GiB (2-vCPU Xeon VM,
+# Python 3.11.7, numpy 2.4.6): n = 11,139,520 (q = 223, m = 4, minus)
+# finishes in json, csv and table at 892 MB peak RSS, and the next family
+# length, n = 11,645,780 (q = 227, m = 4, plus), raises MemoryError.
+SWEEP_GUARD = 11_139_520
 
 
 class CosetForgeError(Exception):

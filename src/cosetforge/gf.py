@@ -14,8 +14,10 @@ Multiplication, inversion and powering go through int32 discrete-log tables
 keyed by alpha, built by doubling: alpha^L..alpha^(2L-1) are the base-p
 digit rows of alpha^0..alpha^(L-1) times the matrix of multiplication by
 alpha^L, mod p, in fixed-size row blocks.  Addition is digit-wise mod p in
-`FieldTower.add`, the one digit loop; a GF(p) constant c is the integer c,
-so negation is multiplication by p-1.  The subfield GF(q) is the span of
+`FieldTower.add`, the one digit loop; it also takes integer arrays, which
+is how `sub_scaled` lets polynomial division update a whole remainder row
+per quotient term.  A GF(p) constant c is the integer c, so negation is
+multiplication by p-1.  The subfield GF(q) is the span of
 omega = alpha^g with g = (p^(e*m)-1)/(q-1); its elements are re-expressed
 as integers in [0, q) over the power basis of omega, which makes
 prime-field coefficients look like ordinary integers mod p, so GF(p) and
@@ -247,17 +249,16 @@ class FieldTower:
     def alpha(self) -> int:
         return int(self.antilog[1])
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
+        """Digit-wise sum mod p of two elements, or of two integer arrays of them."""
         if self.p == 2:
             return a ^ b
         p = self.p
         out = 0
         mult = 1
-        while a or b:
-            out += (a % p + b % p) % p * mult
-            a //= p
-            b //= p
-            mult *= p
+        while mult < self.order:
+            out = out + (a % p + b % p) % p * mult
+            a, b, mult = a // p, b // p, mult * p
         return out
 
     def neg(self, a: int) -> int:
@@ -287,6 +288,14 @@ class FieldTower:
             return 0
         g = self.order - 1
         return int(self.antilog[int(self.log[a]) * k % g])
+
+    def sub_scaled(self, a: np.ndarray, c: int, b: np.ndarray) -> np.ndarray:
+        """a - c*b elementwise, for integer arrays a, b of elements and one element c."""
+        if c == 0:
+            return a
+        g = self.order - 1
+        shift = int(self.log[self.neg(c)])
+        return self.add(a, np.where(b == 0, 0, self.antilog[(self.log[b] + shift) % g]))
 
     def element_order(self, a: int) -> int:
         if a == 0:
@@ -332,6 +341,9 @@ class _SubfieldArith:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self._t.q_inv[a])
+
+    def sub_scaled(self, a, c, b):
+        return self._t.q_add[a, self._t.q_mul[self._t.q_neg[c], b]]
 
 
 @lru_cache(maxsize=None)
@@ -446,21 +458,21 @@ def poly_divmod(t: FieldTower, f: Polynomial, g: Polynomial) -> tuple[Polynomial
     if g.is_zero():
         raise ModByZero("division by the zero polynomial")
     F = t.arith(lvl)
-    rem = list(f.coeffs)
     dg = len(g.coeffs) - 1
     lead_inv = F.inv(g.coeffs[-1])
-    if len(rem) <= dg:
-        return Polynomial(lvl, ()), Polynomial(lvl, tuple(rem))
+    if len(f.coeffs) <= dg:
+        return Polynomial(lvl, ()), f
+    rem = np.array(f.coeffs, dtype=np.int64)
+    divisor = np.array(g.coeffs, dtype=np.int64)
     quot = [0] * (len(rem) - dg)
     for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
+        c = rem.item(i)
         if c == 0:
             continue
         factor = F.mul(c, lead_inv)
         quot[i - dg] = factor
-        for j in range(dg + 1):
-            rem[i - dg + j] = F.sub(rem[i - dg + j], F.mul(factor, g.coeffs[j]))
-    return Polynomial(lvl, tuple(quot)), Polynomial(lvl, tuple(rem))
+        rem[i - dg : i + 1] = F.sub_scaled(rem[i - dg : i + 1], factor, divisor)  # one row update per quotient term
+    return Polynomial(lvl, tuple(quot)), Polynomial(lvl, tuple(rem.tolist()))
 
 
 def poly_mod(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:

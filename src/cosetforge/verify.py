@@ -115,17 +115,14 @@ def _pairs_for(claim: Claim, grid: dict | None) -> tuple:
 
 
 def _intervals(flags, first_delta: int) -> list[list[int]]:
-    """Compress a boolean vector indexed from first_delta into [lo, hi] runs."""
-    out: list[list[int]] = []
-    for j, v in enumerate(flags):
-        if not v:
-            continue
-        d = first_delta + j
-        if out and out[-1][1] == d - 1:
-            out[-1][1] = d
-        else:
-            out.append([d, d])
-    return out
+    """Compress a boolean vector indexed from first_delta into [lo, hi] runs.
+
+    Runs start where the zero-padded vector steps up and end one before
+    where it steps down; the bounds come back as plain ints.
+    """
+    edges = np.flatnonzero(np.diff(np.asarray(flags, dtype=np.int8), prepend=0, append=0)) + first_delta
+    starts, stops = edges[0::2].tolist(), edges[1::2].tolist()
+    return [[lo, hi - 1] for lo, hi in zip(starts, stops)]
 
 
 def _true_distance(q: int, m: int, code, budget: int) -> int:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from cosetforge import cli
+from cosetforge import bch, cli, cosets, gf
+from cosetforge.errors import FamilyConstraint, NotPrime
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +56,61 @@ def test_dually_bch_sweep(capsys):
     assert doc["true_intervals"] == [[2, 2], [11, 20]]
     verdicts = {e["delta"]: e["verdict"] for e in doc["sweep"]}
     assert verdicts[2] and not verdicts[3] and verdicts[11]
+
+
+def sweep_points(max_n):
+    """Every (family, q, m) with m >= 4 and n <= max_n (q >= 17 gives n > 3000 at m = 4)."""
+    out = []
+    for q in range(2, 17):
+        for m in range(4, 14):
+            for family in ("plus", "minus"):
+                try:
+                    gf.prime_power(q)
+                    n = cosets.family_length(q, m, family)
+                except (NotPrime, FamilyConstraint):
+                    continue
+                if n <= max_n:
+                    out.append((family, q, m))
+    return out
+
+
+def old_sweep_report(family, q, m, fmt):
+    """The sweep report as built before row templates: one dict per delta, then the generic renderers."""
+    n = cosets.family_length(q, m, family)
+    flags = [bool(v) for v in bch.dually_bch_sweep(q, n)]
+    if fmt == "json":
+        runs = []
+        for d, v in zip(range(2, n + 1), flags):
+            if v and runs and runs[-1][1] == d - 1:
+                runs[-1][1] = d
+            elif v:
+                runs.append([d, d])
+        doc = {"q": q, "m": m, "family": family, "n": n, "sweep": [{"delta": d, "verdict": v} for d, v in zip(range(2, n + 1), flags)], "true_intervals": runs}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    rows = [["delta", "verdict"]] + [[str(d), "true" if v else "false"] for d, v in zip(range(2, n + 1), flags)]
+    if fmt == "csv":
+        return "\n".join(",".join('"' + c.replace('"', '""') + '"' if ("," in c or '"' in c) else c for c in row) for row in rows) + "\n"
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows) + "\n"
+
+
+SWEEP_POINTS = sweep_points(3000) + [("plus", 16, 4)]  # n = 3855: T3's m = 4 case, true at delta = 2
+
+
+@pytest.mark.parametrize("family,q,m", SWEEP_POINTS)
+def test_sweep_rendering_matches_per_delta_dicts(capsys, tmp_path, family, q, m):
+    argv = ["dually-bch", "--q", str(q), "--m", str(m), "--family", family, "--sweep"]
+    for fmt in ("json", "csv", "table"):
+        want = old_sweep_report(family, q, m, fmt)
+        rc, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert rc == 0 and not err and out == want, fmt
+        path = tmp_path / f"sweep.{fmt}"
+        rc, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert rc == 0 and out == "" and path.read_text() == want, fmt
+    rc, out, _ = run_cli(capsys, *argv)
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+    if (family, q, m) == ("plus", 16, 4):
+        assert json.loads(out)["sweep"][0] == {"delta": 2, "verdict": True}
 
 
 def test_dually_bch_single(capsys):
@@ -229,15 +285,15 @@ def test_dually_bch_needs_prime_power_q(capsys, argv):
 
 
 def test_sweep_over_output_guard_is_domain_error(capsys, monkeypatch):
-    # n = (2^22 - 1)/3 = 1,398,101 is under the table-size guard but over the sweep-output guard
+    # n = (227^4 - 1)/228 = 11,645,780 is under the table-size guard but over the sweep-output guard
     def never(*args):
         raise AssertionError("the guard must fire before any table is built")
 
     monkeypatch.setattr(cli.bch, "dually_bch_sweep", never)
     monkeypatch.setattr(cli.cosets, "leader_map", never)
-    rc, out, err = run_cli(capsys, "dually-bch", "--q", "2", "--m", "22", "--family", "plus", "--sweep")
+    rc, out, err = run_cli(capsys, "dually-bch", "--q", "227", "--m", "4", "--family", "plus", "--sweep")
     assert rc == 1 and not out
-    assert "n = 1398101 exceeds the sweep-output guard 1082401" in err
+    assert "n = 11645780 exceeds the sweep-output guard 11139520" in err
 
 
 def test_budget_error_names_the_requested_method(capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetforge import cosets, gf
+from cosetforge import bch, cosets, gf
 from cosetforge.errors import (
     CoefficientEscape,
     LevelMismatch,
@@ -330,3 +330,70 @@ def test_field_axioms_property(pem, data):
     assert (P.add(a, b), P.sub(a, b), P.mul(a, b)) == ((a + b) % t.p, (a - b) % t.p, a * b % t.p)
     if a:
         assert P.inv(a) == pow(a, -1, t.p)
+
+
+def scalar_divmod(t, f, g):
+    """Schoolbook division with one scalar sub and mul per remainder coefficient touched."""
+    F = t.arith(f.level)
+    rem = list(f.coeffs)
+    dg = len(g.coeffs) - 1
+    lead_inv = F.inv(g.coeffs[-1])
+    if len(rem) <= dg:
+        return gf.Polynomial(f.level, ()), gf.Polynomial(f.level, tuple(rem))
+    quot = [0] * (len(rem) - dg)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        factor = F.mul(c, lead_inv)
+        quot[i - dg] = factor
+        for j in range(dg + 1):
+            rem[i - dg + j] = F.sub(rem[i - dg + j], F.mul(factor, g.coeffs[j]))
+    return gf.Polynomial(f.level, tuple(quot)), gf.Polynomial(f.level, tuple(rem))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(AXIOM_TOWERS), st.sampled_from(list(gf.Level)), st.data())
+def test_poly_divmod_matches_scalar_loop_at_every_level(pem, level, data):
+    t = gf.build_tower(*pem)
+    size = {gf.Level.GFQM: t.order, gf.Level.GFQ: t.q, gf.Level.GFP: t.p}[level]
+    coeff = st.integers(0, size - 1)
+    f = gf.Polynomial(level, tuple(data.draw(st.lists(coeff, max_size=12), label="f")))
+    g = gf.Polynomial(level, tuple(data.draw(st.lists(coeff, min_size=1, max_size=6), label="g")) + (data.draw(st.integers(1, size - 1), label="lead"),))
+    quot, rem = gf.poly_divmod(t, f, g)
+    assert (quot, rem) == scalar_divmod(t, f, g)
+    assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
+    assert rem.degree < g.degree
+
+
+@pytest.mark.parametrize("pem", AXIOM_TOWERS)
+def test_sub_scaled_matches_scalar_ops(pem):
+    t = gf.build_tower(*pem)
+    rng = np.random.default_rng(sum(pem))
+    for level, size in ((gf.Level.GFQM, t.order), (gf.Level.GFQ, t.q), (gf.Level.GFP, t.p)):
+        F = t.arith(level)
+        a, b = rng.integers(0, size, 40), rng.integers(0, size, 40)
+        for c in range(min(size, 20)):
+            got = F.sub_scaled(a, c, b)
+            assert got.tolist() == [F.sub(x, F.mul(c, y)) for x, y in zip(a.tolist(), b.tolist())], (level, c)
+    x, y = rng.integers(0, t.order, 40), rng.integers(0, t.order, 40)
+    assert t.add(x, y).tolist() == [t.add(u, v) for u, v in zip(x.tolist(), y.tolist())]
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 6, 21), (3, 4, 20), (3, 4, 40), (4, 4, 51), (5, 4, 104)])
+def test_poly_divmod_matches_scalar_loop_on_complement_route(q, m, n):
+    # every distinct defining set (b in {0, 1}, every delta) whose generator divides x^n - 1 by the complement
+    t = gf.tower_for(q, m)
+    xn1 = gf.xn_minus_one(t, n)
+    sets = {ds.bits: ds for b in (0, 1) for delta in range(2, n + 1) for ds in [bch.defining_set(q, n, delta, b)]}
+    routed = 0
+    for ds in sets.values():
+        if ds.size <= n - ds.size:
+            continue
+        h = bch._minpoly_product(t, n, bch._make_defining_set(q, n, ~ds.mask).source_cosets)
+        quot, rem = gf.poly_divmod(t, xn1, h)
+        assert (quot, rem) == scalar_divmod(t, xn1, h)
+        assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
+        assert bch.generator_polynomial(t, ds) == quot
+        routed += 1
+    assert routed > 0

@@ -4,6 +4,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from cosetforge import gf, verify
@@ -56,6 +57,33 @@ def test_t3_sweep_intervals():
     point = rep.points[0]
     assert point["expected"] == [[2, 2], [11, 20]]
     assert point["observed"] == [[2, 2], [11, 20]]
+
+
+def intervals_oracle(flags, first_delta):
+    """The per-delta loop: extend the last run or open a new one."""
+    out = []
+    for j, v in enumerate(flags):
+        if not v:
+            continue
+        d = first_delta + j
+        if out and out[-1][1] == d - 1:
+            out[-1][1] = d
+        else:
+            out.append([d, d])
+    return out
+
+
+def test_intervals_match_loop_oracle():
+    rng = np.random.default_rng(7)
+    cases = [rng.random(size) < density for size in (2, 3, 17, 300) for density in (0.1, 0.5, 0.9) for _ in range(5)]
+    cases += [np.ones(40, dtype=bool), np.zeros(40, dtype=bool), np.array([True]), np.array([False]), np.array([], dtype=bool)]
+    cases += [np.array([True, True, False, False, True]), np.array([True, False, True]), np.array([False, True, True, False])]
+    cases += [[True, False, True, True], [False, True]]  # plain lists, as CLM-T2/T3/T5 pass their predictions
+    for flags in cases:
+        for first in (0, 2, 9):
+            got = verify._intervals(flags, first)
+            assert got == intervals_oracle(flags, first), (list(flags), first)
+            assert all(type(x) is int for run in got for x in run)
 
 
 def test_t2_and_t5_small():
