@@ -11,7 +11,10 @@ runs; ``bch_bound`` is the longest plus one, and ``recognize_bch`` walks
 each run once from its end, anchoring b at coset leaders (and 0) so that
 witnesses are canonical: largest delta, then smallest b.
 A defining set is stored once, as its boolean mask over Z_n (one byte per
-residue) built from ``cosets.leader_map``.  ``recognize_bch`` walks its own
+residue) built from ``cosets.leader_map``.  The sweeps read I(delta), the
+least i >= 1 outside T_perp, off the same map: I(delta) is the minimum of
+L[n - v] over 1 <= v <= delta - 1, because the i with n - i in C_v form
+C_{n-v}, whose least member is L[n - v].  ``recognize_bch`` walks its own
 orbits on purpose, as the independent check of the O(n) sweep, and keeps
 their leaders in an int32 array (four bytes per residue).
 """
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -233,33 +235,16 @@ def i_of_delta(q: int, n: int, delta: int) -> int:
     return int(np.argmin(dual_defining_set(defining_set(q, n, delta, 1)).mask))  # first False
 
 
-@lru_cache(maxsize=None)
-def _i_of_delta_table(q: int, n: int) -> np.ndarray:
-    """IT with IT[delta] = I(delta) for 2 <= delta <= n (index 0,1 unused).
-
-    I(delta) = min{ i >= 1 : leader((n - i) mod n) in [1, delta-1] }, or n when
-    no such i exists.  Built in O(n) from the leader map.
-    """
-    lrev = np.roll(cosets.leader_map(q, n)[::-1], 1)  # lrev[i] = leader((n - i) mod n)
-    first = np.full(n + 1, n, dtype=np.int64)  # first[v] = min index i with lrev[i] = v
-    idx = np.arange(n)
-    mask = lrev >= 1
-    np.minimum.at(first, lrev[mask], idx[mask])
-    first[0] = n
-    pref = np.minimum.accumulate(first)
-    table = np.full(n + 1, n, dtype=np.int64)
-    deltas = np.arange(2, n + 1)
-    table[deltas] = pref[deltas - 1]
-    return table
-
-
 def i_of_delta_sweep(q: int, n: int, deltas) -> np.ndarray:
-    """Vectorized I(delta) for many deltas (same definition as i_of_delta)."""
-    table = _i_of_delta_table(q, n)
+    """I(delta) for many deltas (as i_of_delta), as int32: min{L[n - v] : 1 <= v <= delta - 1}.
+
+    The i with n - i in C_v form C_{n-v}, whose least member is L[n - v]; so
+    the prefix minima of L reversed hold I(delta) at index delta - 2.
+    """
     deltas = np.asarray(deltas, dtype=np.int64)
     if deltas.size and (deltas.min() < 2 or deltas.max() >= n):
         raise DeltaOutOfRange("every delta must lie in [2, n)")
-    return table[deltas]
+    return np.minimum.accumulate(cosets.leader_map(q, n)[:0:-1])[deltas - 2]
 
 
 def dually_bch_sweep(q: int, n: int) -> np.ndarray:
@@ -268,12 +253,14 @@ def dually_bch_sweep(q: int, n: int) -> np.ndarray:
     For narrow-sense codes T_perp always contains 0 and never n-1, so any BCH
     witness starts at b = 0: the verdict is closure({0..I(delta)-1}) = T_perp.
     The closure lies in T_perp (coset-closed, and holding {0..I(delta)-1} by
-    the definition of I), so the sizes decide.  With cum[v] = |{x : leader(x)
-    <= v}| they are cum[I(delta)-1] and n - (cum[delta-1] - cum[0]).
+    the definition of I), so the sizes decide.  With cum[v] = |{x : L[x] <= v}|
+    they are cum[I(delta)-1] and n - (cum[delta-1] - cum[0]), and cum[0] = 1,
+    so the test is cum[I(delta)-1] + cum[delta-1] = n + 1, with I(delta) the
+    prefix minimum of L[n - 1], ..., L[n - delta + 1] (see i_of_delta_sweep).
     """
-    cum = np.cumsum(np.bincount(cosets.leader_map(q, n), minlength=n))
-    deltas = np.arange(2, n + 1)
-    return cum[_i_of_delta_table(q, n)[deltas] - 1] == n - (cum[deltas - 1] - cum[0])
+    lead = cosets.leader_map(q, n)
+    cum = np.cumsum(np.bincount(lead, minlength=n))
+    return cum[np.minimum.accumulate(lead[:0:-1]) - 1] + cum[1:] == n + 1  # cum[1:] is cum[delta - 1]
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +336,7 @@ def bch_code(t: gf.FieldTower, n: int, delta: int, b: int = 1, family: str = "ra
 def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: int | None = None):
     """Build tower and code for a family point; returns (tower, code).
 
-    family "raw" takes an explicit n (must divide q^m - 1), and only it does.
+    family "raw" takes an explicit n (must divide q^m - 1, checked before the tower is built), and only it does.
     """
     if family in cosets.FAMILIES:
         if n is not None:
@@ -358,6 +345,11 @@ def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: in
     elif family == "raw":
         if n is None:
             raise UsageError("family 'raw' needs an explicit n")
+        if n < 1 or m < 1:
+            raise OutOfRange(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        gf.prime_power(q)  # NotPrime still comes before a bad n
+        if pow(q, m, n) != 1 % n:  # n does not divide q^m - 1 (tested without forming q^m)
+            raise TowerMismatch(f"n={n} does not divide q^m-1={q**m - 1}")
     else:
         raise FamilyConstraint(f"unknown family {family!r}")
     t = gf.tower_for(q, m)

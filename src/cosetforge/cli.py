@@ -142,6 +142,8 @@ def _parse_grid(spec: str | None) -> dict | None:
     grid: dict[str, list[int]] = {}
     for pair in spec.split(","):
         key, _, values = pair.partition("=")
+        if key.strip() in grid:
+            raise UsageError(f"--grid names {key.strip()!r} twice; give its values once, as k=v1|v2")
         try:
             grid[key.strip()] = [int(v) for v in values.split("|")]
         except ValueError:

@@ -177,6 +177,8 @@ def q_adic_gt(a: QAdic, b: QAdic) -> bool:
 
 def family_length(q: int, m: int, family: str) -> int:
     """Code length n for the family: (q^m-1)/(q+1) for plus, (q^m-1)/(q-1) for minus."""
+    if m < 1:
+        raise OutOfRange(f"need m >= 1, got m={m}")
     if family == PLUS:
         if m % 2 != 0:
             raise FamilyConstraint(f"plus family needs m even, got m={m}")

@@ -8,12 +8,12 @@ ORDER_GUARD = 2**26
 
 # Largest n for which `dually-bch --sweep` runs.  The report is written a
 # block of rows at a time from the verdict vector, so its peak is set by the
-# sweep's tables, about 65 bytes per delta while bch._i_of_delta_table is
-# built.  In-process `cli.main` under RLIMIT_AS = 1 GiB (2-vCPU Xeon VM,
-# Python 3.11.7, numpy 2.4.6): n = 11,139,520 (q = 223, m = 4, minus)
-# finishes in json, csv and table at 892 MB peak RSS, and the next family
-# length, n = 11,645,780 (q = 227, m = 4, plus), raises MemoryError.
-SWEEP_GUARD = 11_139_520
+# sweep's int64 temporaries over the cached int32 leader map, about 24 bytes
+# per delta.  In-process `cli.main` under RLIMIT_AS = 1 GiB (2-vCPU Xeon VM,
+# Python 3.11.7, numpy 2.4.6): n = 38,386,660 (q = 337, m = 4, minus)
+# finishes in json, csv and table at 910 MB peak RSS in 18-29 s, and the next
+# family length, n = 39,449,441 (q = 79, m = 5, minus), raises MemoryError.
+SWEEP_GUARD = 38_386_660
 
 
 class CosetForgeError(Exception):

@@ -89,7 +89,7 @@ def _pair_ok(q: int, m: int, kind: str) -> bool:
         return q >= 3 and m >= 4
     if kind == "q-only":
         return m == 4
-    return m >= 2  # qm1
+    return m >= 4  # qm1: the closed forms are stated for m >= 4 (at m = 3 the third one is wrong)
 
 
 def _pairs_for(claim: Claim, grid: dict | None) -> tuple:
@@ -100,6 +100,8 @@ def _pairs_for(claim: Claim, grid: dict | None) -> tuple:
         raise UsageError(f"unknown grid keys {unknown}, expected q and/or m")
     if not all(isinstance(v, int) for values in grid.values() for v in values):
         raise UsageError(f"grid values must be integers, got {grid}")
+    if any(len(set(values)) < len(values) for values in grid.values()):
+        raise UsageError(f"grid values must not repeat within a key, got {grid}")
     qs = grid.get("q")
     ms = grid.get("m")
     base = claim.default_pairs

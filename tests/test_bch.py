@@ -278,6 +278,46 @@ def test_sweeps_agree_with_scalar_ops(q, n):
         assert int(ivals[j]) == bch.i_of_delta(q, n, delta), (q, n, delta)
 
 
+COPRIME_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@pytest.mark.parametrize("q", COPRIME_QS)
+def test_i_of_delta_sweep_matches_scalar_on_every_modulus(q):
+    # every coprime n below 200, family lengths or not
+    for n in range(2, 200):
+        if np.gcd(q, n) != 1:
+            continue
+        ivals = bch.i_of_delta_sweep(q, n, np.arange(2, n))
+        assert [int(v) for v in ivals] == [bch.i_of_delta(q, n, delta) for delta in range(2, n)], (q, n)
+
+
+@pytest.mark.parametrize("q", COPRIME_QS)
+def test_dually_bch_sweep_matches_recognition_on_every_modulus(q):
+    for n in range(2, 80):
+        if np.gcd(q, n) != 1:
+            continue
+        want = []
+        for delta in range(2, n + 1):
+            rec = bch.recognize_bch(bch.dual_defining_set(bch.defining_set(q, n, delta)))
+            want.append(rec.is_bch or rec.empty)
+        assert bch.dually_bch_sweep(q, n).tolist() == want, (q, n)
+
+
+def test_dually_bch_sweep_memory_per_residue():
+    # the sweep reads I(delta) off the cached leader map: a few int64
+    # temporaries per delta, no table of its own
+    q, n = 2, 21845
+    cosets.leader_map(q, n)
+    tracemalloc.start()
+    try:
+        verdicts = bch.dually_bch_sweep(q, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts.size == n - 1
+    assert peak <= 48 * n, peak / n
+
+
 def test_monotonicity_of_defining_sets():
     for q, n in [(2, 21), (3, 40), (5, 104)]:
         prev_t: frozenset = frozenset()

@@ -285,15 +285,53 @@ def test_dually_bch_needs_prime_power_q(capsys, argv):
 
 
 def test_sweep_over_output_guard_is_domain_error(capsys, monkeypatch):
-    # n = (227^4 - 1)/228 = 11,645,780 is under the table-size guard but over the sweep-output guard
+    # n = (79^5 - 1)/78 = 39,449,441 is under the table-size guard but over the sweep-output guard
     def never(*args):
         raise AssertionError("the guard must fire before any table is built")
 
     monkeypatch.setattr(cli.bch, "dually_bch_sweep", never)
     monkeypatch.setattr(cli.cosets, "leader_map", never)
-    rc, out, err = run_cli(capsys, "dually-bch", "--q", "227", "--m", "4", "--family", "plus", "--sweep")
+    rc, out, err = run_cli(capsys, "dually-bch", "--q", "79", "--m", "5", "--family", "minus", "--sweep")
     assert rc == 1 and not out
-    assert "n = 11645780 exceeds the sweep-output guard 11139520" in err
+    assert "n = 39449441 exceeds the sweep-output guard 38386660" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["code", "--q", "2", "--m", "4", "--family", "raw", "--n", "0", "--delta", "3"], "need n >= 1 and m >= 1, got n=0, m=4"),
+        (["code", "--q", "2", "--m", "4", "--family", "raw", "--n", "-5", "--delta", "3"], "need n >= 1 and m >= 1, got n=-5, m=4"),
+        (["dual", "--q", "3", "--m", "0", "--family", "raw", "--n", "2", "--delta", "2"], "need n >= 1 and m >= 1, got n=2, m=0"),
+        (["code", "--q", "2", "--m", "4", "--family", "raw", "--n", "7", "--delta", "3"], "n=7 does not divide q^m-1=15"),
+        (["code", "--q", "6", "--m", "4", "--family", "raw", "--n", "7", "--delta", "3"], "6 is not a prime power"),
+        (["code", "--q", "3", "--m", "-4", "--family", "minus", "--delta", "3"], "need m >= 1, got m=-4"),
+        (["cosets", "--q", "3", "--m", "-4", "--family", "minus"], "need m >= 1, got m=-4"),
+    ],
+)
+def test_bad_length_or_degree_is_domain_error_before_any_tower(capsys, monkeypatch, argv, message):
+    def never(*args):
+        raise AssertionError("a bad n or m must be rejected before the tower is built")
+
+    monkeypatch.setattr(bch.gf, "tower_for", never)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and not out
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("grid", ["q=2|2,m=4", "q=2,q=3,m=4", "q=3,m=4|6|4"])
+def test_repeated_grid_key_or_value_is_usage_error(capsys, grid):
+    for argv in (["--claim", "CLM-D1P"], ["--all"]):
+        rc, out, err = run_cli(capsys, "verify", *argv, "--grid", grid)
+        assert rc == 2 and not out and err.startswith("error: ")
+        assert "twice" in err or "must not repeat" in err
+
+
+def test_qm1_needs_m_at_least_4(capsys):
+    # at m = 3 the third closed form is wrong ([17, 14, 8] against [17, 14, 13] for q = 3)
+    rc, out, err = run_cli(capsys, "verify", "--claim", "CLM-QM1", "--grid", "q=3,m=3")
+    assert rc == 2 and not out and "selects no valid (q, m) pair for CLM-QM1" in err
+    rc, out, _ = run_cli(capsys, "verify", "--claim", "CLM-QM1", "--grid", "q=3,m=4")
+    assert rc == 0 and json.loads(out)["summary"]["pass"] == 1
 
 
 def test_budget_error_names_the_requested_method(capsys):
