@@ -60,7 +60,6 @@ from .distance import (
 )
 from .gf import (
     FieldTower,
-    Level,
     Polynomial,
     build_tower,
     lift_to_tower,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cosets, gf
-from .errors import DeltaOutOfRange, FamilyConstraint, NotCoprime, OutOfRange, TowerMismatch, UsageError
+from .errors import DeltaOutOfRange, FamilyConstraint, NotCoprime, OutOfRange, TowerMismatch, UsageError, show_int
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class DuallyBchResult:
     verdict: bool
     witness: tuple[int, int] | None
     tperp: DefiningSet
-    empty_dual: bool = False
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
     if math.gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     if not 2 <= delta <= n:
-        raise DeltaOutOfRange(f"delta={delta} outside [2, {n}]")
+        raise DeltaOutOfRange(f"delta={delta} outside [2, {show_int(n)}]")
     lead = cosets.leader_map(q, n)
     hit = np.zeros(n, dtype=bool)  # hit[v]: the window meets the coset with leader v
     hit[lead[(b % n + np.arange(delta - 1)) % n]] = True
@@ -223,7 +222,7 @@ def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
     n = dually_bch_length(q, m, family)
     tperp = dual_defining_set(defining_set(q, n, delta, 1))
     if tperp.size == 0:
-        return DuallyBchResult(verdict=True, witness=None, tperp=tperp, empty_dual=True)
+        return DuallyBchResult(verdict=True, witness=None, tperp=tperp)
     rec = recognize_bch(tperp)
     return DuallyBchResult(verdict=rec.is_bch, witness=rec.witness, tperp=tperp)
 
@@ -231,7 +230,7 @@ def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
 def i_of_delta(q: int, n: int, delta: int) -> int:
     """Smallest i not in T_perp for the narrow-sense code (always >= 1; n - 1 is never in T_perp)."""
     if not 2 <= delta < n:
-        raise DeltaOutOfRange(f"delta={delta} outside [2, {n})")
+        raise DeltaOutOfRange(f"delta={delta} outside [2, {show_int(n)})")
     return int(np.argmin(dual_defining_set(defining_set(q, n, delta, 1)).mask))  # first False
 
 
@@ -269,6 +268,8 @@ def dually_bch_sweep(q: int, n: int) -> np.ndarray:
 
 
 def _check_tower(t: gf.FieldTower, q: int, n: int) -> None:
+    if n < 1:
+        raise OutOfRange(f"need n >= 1, got n={n}")
     if t.q != q:
         raise TowerMismatch(f"tower subfield GF({t.q}) but code over GF({q})")
     if (t.order - 1) % n != 0:
@@ -276,7 +277,7 @@ def _check_tower(t: gf.FieldTower, q: int, n: int) -> None:
 
 
 def _minpoly_product(t: gf.FieldTower, n: int, leaders) -> gf.Polynomial:
-    out = gf.Polynomial(gf.Level.GFQ, (1,))
+    out = gf.Polynomial((1,))
     for lead in leaders:
         out = gf.poly_mul(t, out, gf.minimal_polynomial(t, n, lead))
     return out
@@ -349,7 +350,7 @@ def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: in
             raise OutOfRange(f"need n >= 1 and m >= 1, got n={n}, m={m}")
         gf.prime_power(q)  # NotPrime still comes before a bad n
         if pow(q, m, n) != 1 % n:  # n does not divide q^m - 1 (tested without forming q^m)
-            raise TowerMismatch(f"n={n} does not divide q^m-1={q**m - 1}")
+            raise TowerMismatch(f"n={n} does not divide q^m-1={show_int(q**m - 1)}")
     else:
         raise FamilyConstraint(f"unknown family {family!r}")
     t = gf.tower_for(q, m)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ORDER_GUARD, FamilyConstraint, NotCoprime, NotDivisible, OrderTooLarge, OutOfRange
+from .errors import ORDER_GUARD, FamilyConstraint, NotCoprime, NotDivisible, OrderTooLarge, OutOfRange, show_int
 
 PLUS = "plus"
 MINUS = "minus"
@@ -70,14 +70,14 @@ def _check_coprime(q: int, n: int) -> None:
 def check_table_size(n: int) -> None:
     """Raise OrderTooLarge when a table over the n residues would exceed ORDER_GUARD."""
     if n > ORDER_GUARD:
-        raise OrderTooLarge(f"n = {n} exceeds the table-size guard {ORDER_GUARD}")
+        raise OrderTooLarge(f"n = {show_int(n)} exceeds the table-size guard {ORDER_GUARD}")
 
 
 def cyclotomic_coset(q: int, n: int, s: int) -> CyclotomicCoset:
     """Return the q-cyclotomic coset of s modulo n."""
     _check_coprime(q, n)
     if not 0 <= s < n:
-        raise OutOfRange(f"s={s} outside [0, {n})")
+        raise OutOfRange(f"s={s} outside [0, {show_int(n)})")
     orbit = [s]
     x = s * q % n
     while x != s:
@@ -137,7 +137,7 @@ def is_coset_leader(q: int, n: int, s: int) -> bool:
     """True iff s * q^l mod n >= s for every l (s is minimal in its orbit)."""
     _check_coprime(q, n)
     if not 0 <= s < n:
-        raise OutOfRange(f"s={s} outside [0, {n})")
+        raise OutOfRange(f"s={s} outside [0, {show_int(n)})")
     x = s * q % n
     while x != s:
         if x < s:

@@ -128,19 +128,13 @@ def route(q: int, n: int, k: int, budget: int, method: str = "auto") -> str | No
     return None
 
 
-def min_distance_enumerate(
-    t: gf.FieldTower,
-    code,
-    budget: int | None = None,
-    method: str = "auto",
-    allow_bound_only: bool = True,
-) -> DistanceResult:
+def min_distance_enumerate(t: gf.FieldTower, code, budget: int | None = None, method: str = "auto") -> DistanceResult:
     """Exact minimum distance when `route` finds an enumeration that fits the budget.
 
     Direct enumeration of the code, or enumeration of its dual followed by
-    a MacWilliams transform; otherwise a bound-only result (d = None)
-    unless that is disallowed.  `enumerated` is the number of codewords
-    accounted for, q^k or q^(n-k).
+    a MacWilliams transform; otherwise a bound-only result (d = None) for
+    "auto" and "bound-only", and BudgetExceeded for a forced route.
+    `enumerated` is the number of codewords accounted for, q^k or q^(n-k).
     """
     b = effective_budget(budget)
     q, n, k = code.q, code.n, code.dimension
@@ -155,10 +149,8 @@ def min_distance_enumerate(
         wd = weight_enumerator(t, bch.dual_code(t, code), b)
         wc = macwilliams_transform(wd, q, k_dual=k)
         return DistanceResult(d=wc.min_positive_weight(), method=chosen, enumerated=q ** (n - k))
-    if method == "bound-only" or (method == "auto" and allow_bound_only):
+    if method in ("auto", "bound-only"):
         return DistanceResult(d=None, method="bound-only", enumerated=0)
-    if method == "auto":
-        raise BudgetExceeded(f"neither q^k = {q}^{k} nor q^(n-k) = {q}^{n - k} codewords fit budget {b}")
     need = f"q^k = {q}^{k}" if method == "direct" else f"q^(n-k) = {q}^{n - k}"
     raise BudgetExceeded(f"method {method} needs {need} codewords, over budget {b}")
 

@@ -1,4 +1,4 @@
-"""Exception types, and the size guards, shared across the package."""
+"""Exception types, the size guards, and the integer formatting their messages share."""
 
 # Largest field order or modulus n given a full table (field tables, leader
 # maps, residue sets).  A 2^26-element tower builds in about 35 s with
@@ -16,6 +16,11 @@ ORDER_GUARD = 2**26
 SWEEP_GUARD = 38_386_660
 
 
+def show_int(x: int) -> str:
+    """x in decimal up to 64 bits, else its bit length (str() refuses integers past 4,300 digits)."""
+    return str(x) if x.bit_length() <= 64 else f"a {x.bit_length()}-bit number"
+
+
 class CosetForgeError(Exception):
     """Base class for every domain error raised by this package."""
 
@@ -26,10 +31,6 @@ class NotPrime(CosetForgeError, ValueError):
 
 class OrderTooLarge(CosetForgeError, ValueError):
     """Field order or modulus n exceeds ORDER_GUARD, or a sweep's n exceeds SWEEP_GUARD."""
-
-
-class LevelMismatch(CosetForgeError, ValueError):
-    """Polynomial operands live at different field levels."""
 
 
 class ModByZero(CosetForgeError, ZeroDivisionError):

@@ -14,14 +14,17 @@ Multiplication, inversion and powering go through int32 discrete-log tables
 keyed by alpha, built by doubling: alpha^L..alpha^(2L-1) are the base-p
 digit rows of alpha^0..alpha^(L-1) times the matrix of multiplication by
 alpha^L, mod p, in fixed-size row blocks.  Addition is digit-wise mod p in
-`FieldTower.add`, the one digit loop; it also takes integer arrays, which
-is how `sub_scaled` lets polynomial division update a whole remainder row
-per quotient term.  A GF(p) constant c is the integer c, so negation is
-multiplication by p-1.  The subfield GF(q) is the span of
+`FieldTower.add`, the one digit loop.  A GF(p) constant c is the integer c,
+so negation is multiplication by p-1.  The subfield GF(q) is the span of
 omega = alpha^g with g = (p^(e*m)-1)/(q-1); its elements are re-expressed
-as integers in [0, q) over the power basis of omega, which makes
-prime-field coefficients look like ordinary integers mod p, so GF(p) and
-GF(q) share the q x q tables.
+as indices in [0, q) over the power basis of omega, which makes prime-field
+coefficients look like ordinary integers mod p, and the q x q tables
+`q_add`, `q_mul`, `q_inv`, `q_neg` give their arithmetic.
+
+Every polynomial is a GF(q)[x] polynomial of such indices.  `poly_mul` and
+`poly_divmod` update a whole row of the result per coefficient of one
+operand through those tables; `lift_to_tower` embeds the coefficients in
+the top field, where `poly_eval` finds the roots.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -38,21 +40,12 @@ from . import cosets
 from .errors import (
     ORDER_GUARD,
     CoefficientEscape,
-    LevelMismatch,
     ModByZero,
     NotADivisor,
     NotPrime,
     OrderTooLarge,
     OutOfRange,
 )
-
-
-class Level(Enum):
-    """Which field of the tower a polynomial's coefficients live in."""
-
-    GFP = "gf(p)"
-    GFQ = "gf(q)"
-    GFQM = "gf(q^m)"
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +198,7 @@ class FieldTower:
     subfield_to_tower, tower_to_subfield
         GF(q) index -> top-field element, and back.
     q_add, q_mul, q_inv, q_neg : int32 numpy arrays
-        GF(q) operations on indices; they serve GF(p) too, whose indices
-        are 0..p-1.
+        GF(q) operations on indices; a GF(p) element c is the index c.
     """
 
     p: int
@@ -250,7 +242,7 @@ class FieldTower:
         return int(self.antilog[1])
 
     def add(self, a, b):
-        """Digit-wise sum mod p of two elements, or of two integer arrays of them."""
+        """Digit-wise sum mod p of two elements."""
         if self.p == 2:
             return a ^ b
         p = self.p
@@ -289,14 +281,6 @@ class FieldTower:
         g = self.order - 1
         return int(self.antilog[int(self.log[a]) * k % g])
 
-    def sub_scaled(self, a: np.ndarray, c: int, b: np.ndarray) -> np.ndarray:
-        """a - c*b elementwise, for integer arrays a, b of elements and one element c."""
-        if c == 0:
-            return a
-        g = self.order - 1
-        shift = int(self.log[self.neg(c)])
-        return self.add(a, np.where(b == 0, 0, self.antilog[(self.log[b] + shift) % g]))
-
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
@@ -319,32 +303,6 @@ class FieldTower:
     def q_pow(self, idx: int, k: int) -> int:
         return self.project_subfield(self.pow(self.embed_subfield(idx), k))
 
-    def arith(self, level: Level):
-        """add/sub/mul/inv at one level: the GF(q) tables serve GF(p) and GF(q)."""
-        return self if level is Level.GFQM else _SubfieldArith(self)
-
-
-class _SubfieldArith:
-    def __init__(self, t: FieldTower):
-        self._t = t
-
-    def add(self, a, b):
-        return int(self._t.q_add[a, b])
-
-    def sub(self, a, b):
-        return int(self._t.q_add[a, self._t.q_neg[b]])
-
-    def mul(self, a, b):
-        return int(self._t.q_mul[a, b])
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self._t.q_inv[a])
-
-    def sub_scaled(self, a, c, b):
-        return self._t.q_add[a, self._t.q_mul[self._t.q_neg[c], b]]
-
 
 @lru_cache(maxsize=None)
 def build_tower(p: int, e: int, m: int) -> FieldTower:
@@ -354,9 +312,9 @@ def build_tower(p: int, e: int, m: int) -> FieldTower:
     if e < 1 or m < 1:
         raise OutOfRange(f"need e >= 1 and m >= 1, got e={e}, m={m}")
     d = e * m
+    if d >= ORDER_GUARD.bit_length() or p**d > ORDER_GUARD:  # p^d >= 2^d: a long exponent is over the guard without forming p^d
+        raise OrderTooLarge(f"p^(e*m) = {p}^{d} exceeds the guard {ORDER_GUARD}")
     order = p**d
-    if order > ORDER_GUARD:
-        raise OrderTooLarge(f"p^(e*m) = {order} exceeds the guard {ORDER_GUARD}")
     q = p**e
     modulus = _smallest_primitive_modulus(p, d)
     antilog, log = _power_tables(p, modulus)
@@ -393,13 +351,12 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense polynomial over one field level; ascending coefficient tuple.
+    """Dense polynomial over GF(q); ascending tuple of GF(q) indices.
 
     Trailing zero coefficients are stripped on construction, so the leading
     coefficient is nonzero unless the polynomial is zero (empty tuple).
     """
 
-    level: Level
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
@@ -432,47 +389,37 @@ class Polynomial:
         return " + ".join(reversed(terms))
 
 
-def _check_levels(f: Polynomial, g: Polynomial) -> Level:
-    if f.level is not g.level:
-        raise LevelMismatch(f"{f.level} vs {g.level}")
-    return f.level
-
-
 def poly_mul(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
-    lvl = _check_levels(f, g)
     if f.is_zero() or g.is_zero():
-        return Polynomial(lvl, ())
-    F = t.arith(lvl)
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+        return Polynomial(())
+    if len(f.coeffs) > len(g.coeffs):
+        f, g = g, f  # one row per coefficient of the shorter factor
+    row = np.array(g.coeffs)
+    out = np.zeros(len(f.coeffs) + len(row) - 1, dtype=np.int32)
     for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(g.coeffs):
-            if b:
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-    return Polynomial(lvl, tuple(out))
+        if a:
+            out[i : i + len(row)] = t.q_add[out[i : i + len(row)], t.q_mul[a, row]]
+    return Polynomial(tuple(out.tolist()))
 
 
 def poly_divmod(t: FieldTower, f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
-    lvl = _check_levels(f, g)
     if g.is_zero():
         raise ModByZero("division by the zero polynomial")
-    F = t.arith(lvl)
     dg = len(g.coeffs) - 1
-    lead_inv = F.inv(g.coeffs[-1])
     if len(f.coeffs) <= dg:
-        return Polynomial(lvl, ()), f
-    rem = np.array(f.coeffs, dtype=np.int64)
-    divisor = np.array(g.coeffs, dtype=np.int64)
+        return Polynomial(()), f
+    lead_inv = t.q_inv.item(g.coeffs[-1])
+    minus_g = t.q_mul[t.q_neg[:, None], np.array(g.coeffs)]  # row c is -c*g
+    rem = np.array(f.coeffs, dtype=np.int32)
     quot = [0] * (len(rem) - dg)
     for i in range(len(rem) - 1, dg - 1, -1):
         c = rem.item(i)
         if c == 0:
             continue
-        factor = F.mul(c, lead_inv)
+        factor = t.q_mul.item(c, lead_inv)
         quot[i - dg] = factor
-        rem[i - dg : i + 1] = F.sub_scaled(rem[i - dg : i + 1], factor, divisor)  # one row update per quotient term
-    return Polynomial(lvl, tuple(quot)), Polynomial(lvl, tuple(rem.tolist()))
+        rem[i - dg : i + 1] = t.q_add[rem[i - dg : i + 1], minus_g[factor]]  # one row update per quotient term
+    return Polynomial(tuple(quot)), Polynomial(tuple(rem.tolist()))
 
 
 def poly_mod(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -482,13 +429,10 @@ def poly_mod(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
 def _monic(t: FieldTower, f: Polynomial) -> Polynomial:
     if f.is_zero() or f.coeffs[-1] == 1:
         return f
-    F = t.arith(f.level)
-    inv = F.inv(f.coeffs[-1])
-    return Polynomial(f.level, tuple(F.mul(c, inv) for c in f.coeffs))
+    return Polynomial(tuple(t.q_mul[t.q_inv[f.coeffs[-1]], list(f.coeffs)].tolist()))
 
 
 def poly_gcd(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
-    _check_levels(f, g)
     a, b = f, g
     while not b.is_zero():
         a, b = b, poly_mod(t, a, b)
@@ -496,37 +440,29 @@ def poly_gcd(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def poly_lcm(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
-    _check_levels(f, g)
     if f.is_zero() or g.is_zero():
-        return Polynomial(f.level, ())
+        return Polynomial(())
     d = poly_gcd(t, f, g)
     quot, rem = poly_divmod(t, poly_mul(t, f, g), d)
     assert rem.is_zero()
     return _monic(t, quot)
 
 
-def poly_eval(t: FieldTower, f: Polynomial, x: int):
-    """Evaluate f at a point of its own level (Horner)."""
-    F = t.arith(f.level)
+def lift_to_tower(t: FieldTower, f: Polynomial) -> tuple[int, ...]:
+    """The coefficients of f as top-field elements, ascending."""
+    return tuple(t.embed_subfield(c) for c in f.coeffs)
+
+
+def poly_eval(t: FieldTower, f: Polynomial, x: int) -> int:
+    """f(x) at a top-field element x, by Horner over the lifted coefficients; 0 exactly at the roots of f."""
     acc = 0
-    for c in reversed(f.coeffs):
-        acc = F.add(F.mul(acc, x), c)
+    for c in reversed(lift_to_tower(t, f)):
+        acc = t.add(t.mul(acc, x), c)
     return acc
 
 
-def lift_to_tower(t: FieldTower, f: Polynomial) -> Polynomial:
-    """Re-express a GF(q)-level polynomial with top-field coefficients."""
-    if f.level is Level.GFQM:
-        return f
-    if f.level is Level.GFP:
-        f = Polynomial(Level.GFQ, f.coeffs)  # prime indices coincide
-    return Polynomial(Level.GFQM, tuple(t.embed_subfield(c) for c in f.coeffs))
-
-
-def xn_minus_one(t: FieldTower, n: int, level: Level = Level.GFQ) -> Polynomial:
-    F = t.arith(level)
-    coeffs = [F.sub(0, 1)] + [0] * (n - 1) + [1]
-    return Polynomial(level, tuple(coeffs))
+def xn_minus_one(t: FieldTower, n: int) -> Polynomial:
+    return Polynomial((t.q_neg.item(1),) + (0,) * (n - 1) + (1,))
 
 
 def minimal_polynomial(t: FieldTower, n: int, i: int) -> Polynomial:
@@ -555,4 +491,4 @@ def minimal_polynomial(t: FieldTower, n: int, i: int) -> Polynomial:
             nxt[k + 1] = t.add(nxt[k + 1], c)
             nxt[k] = t.sub(nxt[k], t.mul(c, root))
         poly = nxt
-    return Polynomial(Level.GFQ, tuple(t.project_subfield(c) for c in poly))
+    return Polynomial(tuple(t.project_subfield(c) for c in poly))

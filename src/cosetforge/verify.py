@@ -129,7 +129,7 @@ def _intervals(flags, first_delta: int) -> list[list[int]]:
 
 def _true_distance(q: int, m: int, code, budget: int) -> int:
     t = gf.tower_for(q, m)
-    res = distance.min_distance_enumerate(t, code, budget=budget, allow_bound_only=False)
+    res = distance.min_distance_enumerate(t, code, budget=budget)
     assert res.d is not None
     return res.d
 
@@ -278,7 +278,7 @@ def _dual_distance_sweep_points(q, m, budget, deltas, bound_fn, claim_tag) -> li
                 t = gf.tower_for(q, m)
             code = bch.bch_code(t, n, delta, family=cosets.PLUS, m=m)
             dual = bch.dual_code(t, code)
-            res = distance.min_distance_enumerate(t, dual, budget=budget, allow_bound_only=False)
+            res = distance.min_distance_enumerate(t, dual, budget=budget)
             cache[size_t] = (res.d, res.method)
         d, meth = cache[size_t]
         bound = bound_fn(q, m, delta)

@@ -363,9 +363,8 @@ def test_dual_generator_and_root_set_duality():
         dg = bch.dual_generator(t, code)
         assert dg.degree == code.dimension
         dual_ds = bch.dual_defining_set(code.defining)
-        lifted = gf.lift_to_tower(t, dg)
         beta_exp = (t.order - 1) // n
-        roots = {i for i in range(n) if gf.poly_eval(t, lifted, t.pow(t.alpha, beta_exp * i)) == 0}
+        roots = {i for i in range(n) if gf.poly_eval(t, dg, t.pow(t.alpha, beta_exp * i)) == 0}
         assert roots == set(dual_ds.exponents)
 
 
@@ -379,7 +378,7 @@ def reciprocal_dual_generator(t, code):
     else:
         complement = set(range(code.n)) - set(code.defining.exponents)
         leaders = sorted({naive_leader(code.q, code.n, x) for x in complement})
-        h = gf.Polynomial(gf.Level.GFQ, (1,))
+        h = gf.Polynomial((1,))
         for lead in leaders:
             h = gf.poly_mul(t, h, gf.minimal_polynomial(t, code.n, lead))
     rec = h.coeffs[::-1]
@@ -426,7 +425,6 @@ def test_basis_orthogonality():
         t = gf.tower_for(q, m)
         code = bch.bch_code(t, n, delta)
         dual = bch.dual_code(t, code)
-        F = t.arith(gf.Level.GFQ)
         for i in range(code.dimension):
             row = [0] * n
             for j, c in enumerate(code.genpoly.coeffs):
@@ -437,7 +435,7 @@ def test_basis_orthogonality():
                     row2[(i2 + j) % n] = c
                 acc = 0
                 for a, b in zip(row, row2):
-                    acc = F.add(acc, F.mul(a, b))
+                    acc = int(t.q_add[acc, t.q_mul[a, b]])
                 assert acc == 0
 
 
@@ -446,7 +444,6 @@ def test_exhaustive_orthogonality_tiny_code():
     t = gf.tower_for(2, 4)
     code = bch.bch_code(t, 5, 2)
     dual = bch.dual_code(t, code)
-    F = t.arith(gf.Level.GFQ)
 
     def words(c):
         out = []
@@ -455,7 +452,7 @@ def test_exhaustive_orthogonality_tiny_code():
             for i in range(c.dimension):
                 if msg >> i & 1:
                     for j, coef in enumerate(c.genpoly.coeffs):
-                        word[(i + j) % c.n] = F.add(word[(i + j) % c.n], coef)
+                        word[(i + j) % c.n] = int(t.q_add[word[(i + j) % c.n], coef])
             out.append(word)
         return out
 
@@ -463,7 +460,7 @@ def test_exhaustive_orthogonality_tiny_code():
         for v in words(dual):
             acc = 0
             for a, b in zip(u, v):
-                acc = F.add(acc, F.mul(a, b))
+                acc = int(t.q_add[acc, t.q_mul[a, b]])
             assert acc == 0
 
 
@@ -474,6 +471,13 @@ def test_tower_mismatch():
         bch.generator_polynomial(t21, ds3)
     with pytest.raises(TowerMismatch):
         bch.bch_code(t21, 10, 2)  # 10 does not divide 63
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_bch_code_rejects_n_below_one(n):
+    # a typed error before any n-modulo, for a tower passed in directly
+    with pytest.raises(OutOfRange):
+        bch.bch_code(gf.tower_for(2, 4), n, 3)
 
 
 def test_bch_code_dimensions():

@@ -272,6 +272,25 @@ def test_single_coset_at_huge_modulus(capsys):
     assert json.loads(out) == {"leader": 1, "n": (3**40 - 1) // 4, "q": 3, "size": 40}
 
 
+GIANT = ["--q", "3", "--m", "10000"]  # 3^10000 has 4,772 digits, past the 4,300 that str() of an int allows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cosets", *GIANT, "--family", "minus", "--top", "1"],  # cosets.check_table_size
+        ["dually-bch", *GIANT, "--family", "minus", "--delta", "1"],  # bch.defining_set
+        ["cosets", *GIANT, "--family", "minus", "--coset", "-1"],  # cosets.cyclotomic_coset
+        ["code", *GIANT, "--family", "raw", "--n", "4", "--delta", "2"],  # gf.build_tower
+        ["code", *GIANT, "--family", "raw", "--n", "7", "--delta", "2"],  # bch.build_family_code, 7 does not divide 3^10000 - 1
+    ],
+)
+def test_giant_m_is_one_error_line(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,6 +6,8 @@ multiplication, closure checks), or checked structurally (divisibility,
 degrees, Frobenius stability).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 from cosetforge import bch, cosets, gf
 from cosetforge.errors import (
     CoefficientEscape,
-    LevelMismatch,
     ModByZero,
     NotADivisor,
     NotPrime,
@@ -61,6 +62,8 @@ def test_build_tower_rejects_bad_args():
         gf.build_tower(6, 1, 2)
     with pytest.raises(OrderTooLarge):
         gf.build_tower(2, 1, 27)
+    with pytest.raises(OrderTooLarge, match=r"3\^1000000000000 exceeds"):
+        gf.build_tower(3, 1, 10**12)  # rejected from the exponent, without forming 3^(10^12)
     with pytest.raises(OutOfRange):
         gf.build_tower(2, 0, 3)
 
@@ -106,34 +109,39 @@ def test_inverse_of_zero_raises():
 
 def test_poly_examples():
     t2 = gf.build_tower(2, 1, 2)
-    x_plus_1 = gf.Polynomial(gf.Level.GFQ, (1, 1))
+    x_plus_1 = gf.Polynomial((1, 1))
     assert gf.poly_lcm(t2, x_plus_1, x_plus_1).coeffs == (1, 1)
-    x2_plus_1 = gf.Polynomial(gf.Level.GFQ, (1, 0, 1))
+    x2_plus_1 = gf.Polynomial((1, 0, 1))
     assert gf.poly_gcd(t2, x2_plus_1, x_plus_1).coeffs == (1, 1)
 
     t3 = gf.build_tower(3, 1, 2)
-    prod = gf.poly_mul(t3, gf.Polynomial(gf.Level.GFQ, (1, 1)), gf.Polynomial(gf.Level.GFQ, (2, 1)))
+    prod = gf.poly_mul(t3, gf.Polynomial((1, 1)), gf.Polynomial((2, 1)))
     assert prod.coeffs == (2, 0, 1)  # (x+1)(x+2) = x^2 + 2 over GF(3)
 
 
 def test_poly_errors():
     t = gf.build_tower(2, 1, 2)
-    f = gf.Polynomial(gf.Level.GFQ, (1, 1))
-    g = gf.Polynomial(gf.Level.GFP, (1, 1))
-    with pytest.raises(LevelMismatch):
-        gf.poly_mul(t, f, g)
+    f = gf.Polynomial((1, 1))
     with pytest.raises(ModByZero):
-        gf.poly_divmod(t, f, gf.Polynomial(gf.Level.GFQ, ()))
+        gf.poly_divmod(t, f, gf.Polynomial(()))
 
 
 def test_poly_eval_and_degree():
     t = gf.build_tower(3, 1, 2)
-    f = gf.Polynomial(gf.Level.GFQ, (2, 0, 1))  # x^2 + 2
+    f = gf.Polynomial((2, 0, 1))  # x^2 + 2 over GF(3), evaluated in GF(9)
+    assert gf.lift_to_tower(t, f) == (2, 0, 1)  # GF(3) inside GF(9) is 0, 1, 2
     assert gf.poly_eval(t, f, 1) == 0
     assert gf.poly_eval(t, f, 0) == 2
+    assert gf.poly_eval(t, f, t.alpha) == t.add(t.pow(t.alpha, 2), 2) != 0  # alpha has degree 2 over GF(3)
+    t16 = gf.build_tower(2, 2, 2)  # GF(4) < GF(16)
+    g = gf.Polynomial((2, 1))  # x + omega, omega the GF(4) index 2
+    omega = t16.embed_subfield(2)
+    assert gf.lift_to_tower(t16, g) == (omega, 1)
+    assert gf.poly_eval(t16, g, omega) == 0  # -omega = omega in characteristic 2
+    assert all(type(c) is int for c in gf.lift_to_tower(t16, g))
     assert f.degree == 2
-    assert gf.Polynomial(gf.Level.GFQ, ()).degree == gf.NEG_INF
-    assert gf.Polynomial(gf.Level.GFQ, (0, 0)).is_zero()
+    assert gf.Polynomial(()).degree == gf.NEG_INF
+    assert gf.Polynomial((0, 0)).is_zero()
 
 
 def test_minimal_polynomial_examples():
@@ -171,7 +179,7 @@ TOWERS = [(2, 1, 6, 21), (3, 1, 4, 20), (2, 2, 4, 85), (2, 2, 4, 51)]
 def test_minimal_polynomial_invariants(p, e, m, n):
     t = gf.build_tower(p, e, m)
     xn1 = gf.xn_minus_one(t, n)
-    product = gf.Polynomial(gf.Level.GFQ, (1,))
+    product = gf.Polynomial((1,))
     for lead in cosets.coset_leaders(t.q, n):
         mp = gf.minimal_polynomial(t, n, lead)
         assert mp.degree == cosets.cyclotomic_coset(t.q, n, lead).size
@@ -190,11 +198,10 @@ def test_minimal_polynomial_roots(p, e, m, n):
     t = gf.build_tower(p, e, m)
     beta_exp = (t.order - 1) // n
     for i in (0, 1, min(5, n - 1)):
-        mp = gf.lift_to_tower(t, gf.minimal_polynomial(t, n, i))
+        mp = gf.minimal_polynomial(t, n, i)
         coset = cosets.cyclotomic_coset(t.q, n, i)
-        for s in coset.elements:
-            root = t.pow(t.alpha, beta_exp * s)
-            assert gf.poly_eval(t, mp, root) == 0
+        roots = {j for j in range(n) if gf.poly_eval(t, mp, t.pow(t.alpha, beta_exp * j)) == 0}
+        assert roots == set(coset.elements)
 
 
 def test_tower_determinism():
@@ -307,13 +314,22 @@ def test_tables_match_sequential_build(p, e, m, block, monkeypatch):
 AXIOM_TOWERS = [(2, 1, 4), (2, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (7, 1, 2)]
 
 
+def _table_field(t):
+    """GF(q) arithmetic read straight off the q x q tables."""
+    return SimpleNamespace(
+        add=lambda a, b: int(t.q_add[a, b]),
+        sub=lambda a, b: int(t.q_add[a, t.q_neg[b]]),
+        mul=lambda a, b: int(t.q_mul[a, b]),
+        inv=lambda a: int(t.q_inv[a]),
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(AXIOM_TOWERS), st.data())
 def test_field_axioms_property(pem, data):
     t = gf.build_tower(*pem)
-    for level, size in ((gf.Level.GFQM, t.order), (gf.Level.GFQ, t.q), (gf.Level.GFP, t.p)):
-        F = t.arith(level)
-        a, b, c = (data.draw(st.integers(0, size - 1), label=f"{level.value} operand") for _ in range(3))
+    for name, F, size in (("top", t, t.order), ("GF(q)", _table_field(t), t.q)):
+        a, b, c = (data.draw(st.integers(0, size - 1), label=f"{name} operand") for _ in range(3))
         assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
         assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
         assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
@@ -325,21 +341,22 @@ def test_field_axioms_property(pem, data):
     assert t.add(x, t.neg(x)) == 0
     i = data.draw(st.integers(0, t.q - 1), label="subfield index")
     assert t.q_add[i, t.q_neg[i]] == 0
-    P = t.arith(gf.Level.GFP)
+    # GF(p) sits in GF(q) as the indices 0..p-1, with ordinary arithmetic mod p
+    F = _table_field(t)
     a, b = data.draw(st.integers(0, t.p - 1)), data.draw(st.integers(0, t.p - 1))
-    assert (P.add(a, b), P.sub(a, b), P.mul(a, b)) == ((a + b) % t.p, (a - b) % t.p, a * b % t.p)
+    assert (F.add(a, b), F.sub(a, b), F.mul(a, b)) == ((a + b) % t.p, (a - b) % t.p, a * b % t.p)
     if a:
-        assert P.inv(a) == pow(a, -1, t.p)
+        assert F.inv(a) == pow(a, -1, t.p)
 
 
 def scalar_divmod(t, f, g):
     """Schoolbook division with one scalar sub and mul per remainder coefficient touched."""
-    F = t.arith(f.level)
+    F = _table_field(t)
     rem = list(f.coeffs)
     dg = len(g.coeffs) - 1
     lead_inv = F.inv(g.coeffs[-1])
     if len(rem) <= dg:
-        return gf.Polynomial(f.level, ()), gf.Polynomial(f.level, tuple(rem))
+        return gf.Polynomial(()), gf.Polynomial(tuple(rem))
     quot = [0] * (len(rem) - dg)
     for i in range(len(rem) - 1, dg - 1, -1):
         c = rem[i]
@@ -349,17 +366,26 @@ def scalar_divmod(t, f, g):
         quot[i - dg] = factor
         for j in range(dg + 1):
             rem[i - dg + j] = F.sub(rem[i - dg + j], F.mul(factor, g.coeffs[j]))
-    return gf.Polynomial(f.level, tuple(quot)), gf.Polynomial(f.level, tuple(rem))
+    return gf.Polynomial(tuple(quot)), gf.Polynomial(tuple(rem))
+
+
+def scalar_mul(t, f, g):
+    """Schoolbook product with one scalar add and mul per pair of coefficients."""
+    F = _table_field(t)
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1) if f.coeffs and g.coeffs else []
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = F.add(out[i + j], F.mul(a, b))
+    return gf.Polynomial(tuple(out))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(AXIOM_TOWERS), st.sampled_from(list(gf.Level)), st.data())
-def test_poly_divmod_matches_scalar_loop_at_every_level(pem, level, data):
+@given(st.sampled_from(AXIOM_TOWERS), st.data())
+def test_poly_divmod_matches_scalar_loop(pem, data):
     t = gf.build_tower(*pem)
-    size = {gf.Level.GFQM: t.order, gf.Level.GFQ: t.q, gf.Level.GFP: t.p}[level]
-    coeff = st.integers(0, size - 1)
-    f = gf.Polynomial(level, tuple(data.draw(st.lists(coeff, max_size=12), label="f")))
-    g = gf.Polynomial(level, tuple(data.draw(st.lists(coeff, min_size=1, max_size=6), label="g")) + (data.draw(st.integers(1, size - 1), label="lead"),))
+    coeff = st.integers(0, t.q - 1)
+    f = gf.Polynomial(tuple(data.draw(st.lists(coeff, max_size=12), label="f")))
+    g = gf.Polynomial(tuple(data.draw(st.lists(coeff, min_size=1, max_size=6), label="g")) + (data.draw(st.integers(1, t.q - 1), label="lead"),))
     quot, rem = gf.poly_divmod(t, f, g)
     assert (quot, rem) == scalar_divmod(t, f, g)
     assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
@@ -367,17 +393,16 @@ def test_poly_divmod_matches_scalar_loop_at_every_level(pem, level, data):
 
 
 @pytest.mark.parametrize("pem", AXIOM_TOWERS)
-def test_sub_scaled_matches_scalar_ops(pem):
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_mul_matches_scalar_loop(pem, data):
     t = gf.build_tower(*pem)
-    rng = np.random.default_rng(sum(pem))
-    for level, size in ((gf.Level.GFQM, t.order), (gf.Level.GFQ, t.q), (gf.Level.GFP, t.p)):
-        F = t.arith(level)
-        a, b = rng.integers(0, size, 40), rng.integers(0, size, 40)
-        for c in range(min(size, 20)):
-            got = F.sub_scaled(a, c, b)
-            assert got.tolist() == [F.sub(x, F.mul(c, y)) for x, y in zip(a.tolist(), b.tolist())], (level, c)
-    x, y = rng.integers(0, t.order, 40), rng.integers(0, t.order, 40)
-    assert t.add(x, y).tolist() == [t.add(u, v) for u, v in zip(x.tolist(), y.tolist())]
+    coeff = st.integers(0, t.q - 1)
+    f = gf.Polynomial(tuple(data.draw(st.lists(coeff, max_size=12), label="f")))
+    g = gf.Polynomial(tuple(data.draw(st.lists(coeff, max_size=12), label="g")))
+    prod = gf.poly_mul(t, f, g)
+    assert prod == scalar_mul(t, f, g) == gf.poly_mul(t, g, f)
+    assert all(type(c) is int for c in prod.coeffs)
 
 
 @pytest.mark.parametrize("q,m,n", [(2, 6, 21), (3, 4, 20), (3, 4, 40), (4, 4, 51), (5, 4, 104)])
