@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ORDER_GUARD, FamilyConstraint, NotCoprime, NotDivisible, OrderTooLarge, OutOfRange, show_int
+from .errors import DIGIT_GUARD, ORDER_GUARD, FamilyConstraint, NotCoprime, NotDivisible, OrderTooLarge, OutOfRange, show_int
 
 PLUS = "plus"
 MINUS = "minus"
@@ -179,15 +179,15 @@ def family_length(q: int, m: int, family: str) -> int:
     """Code length n for the family: (q^m-1)/(q+1) for plus, (q^m-1)/(q-1) for minus."""
     if m < 1:
         raise OutOfRange(f"need m >= 1, got m={m}")
-    if family == PLUS:
-        if m % 2 != 0:
-            raise FamilyConstraint(f"plus family needs m even, got m={m}")
-        return (q**m - 1) // (q + 1)
-    if family == MINUS:
-        if q < 3:
-            raise FamilyConstraint(f"minus family needs q >= 3, got q={q}")
-        return (q**m - 1) // (q - 1)
-    raise FamilyConstraint(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise FamilyConstraint(f"unknown family {family!r}")
+    if family == PLUS and m % 2 != 0:
+        raise FamilyConstraint(f"plus family needs m even, got m={m}")
+    if family == MINUS and q < 3:
+        raise FamilyConstraint(f"minus family needs q >= 3, got q={q}")
+    if abs(q) > 1 and m * math.log10(abs(q)) > DIGIT_GUARD:  # q^m has about m*log10(q) digits; refuse before forming it
+        raise OutOfRange(f"{q}^{m} has over {DIGIT_GUARD} decimal digits, too many to print the {family} length n")
+    return (q**m - 1) // (q + 1 if family == PLUS else q - 1)
 
 
 def largest_leaders_qm1(q: int, m: int) -> tuple[int, int, int]:

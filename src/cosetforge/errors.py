@@ -1,9 +1,10 @@
 """Exception types, the size guards, and the integer formatting their messages share."""
 
-# Largest field order or modulus n given a full table (field tables, leader
-# maps, residue sets).  A 2^26-element tower builds in about 35 s with
-# 0.55 GB resident on a 2-vCPU Xeon VM; 2^27 would need 1 GiB for its two
-# int32 tables alone.
+# Largest field order or modulus n.  It bounds the n-length structures (the
+# int32 leader map, 1-byte defining-set masks, enumeration over n positions):
+# `coset_leaders` at n = 2^26 - 1, q = 2 takes 6.9 s and 432 MB.  A tower has
+# no top-field table (GF(2^26) builds in under 1 MB); for it the guard keeps
+# the float64 digit-matrix products exact, d*p^2 < 2^53.
 ORDER_GUARD = 2**26
 
 # Largest n for which `dually-bch --sweep` runs.  The report is written a
@@ -14,6 +15,10 @@ ORDER_GUARD = 2**26
 # finishes in json, csv and table at 910 MB peak RSS in 18-29 s, and the next
 # family length, n = 39,449,441 (q = 79, m = 5, minus), raises MemoryError.
 SWEEP_GUARD = 38_386_660
+
+# Most decimal digits of q^m in a family length n = (q^m-1)/(q+-1): reports
+# print n, and str() refuses integers past 4,300 digits by default.
+DIGIT_GUARD = 4300
 
 
 def show_int(x: int) -> str:

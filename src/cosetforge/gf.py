@@ -5,21 +5,24 @@ are the coordinates with respect to the power basis of alpha, the residue
 of x modulo the tower modulus.  The modulus is the first primitive
 polynomial of its degree in the deterministic search order (coefficient
 vector read as a base-p integer, constant term least significant), so
-towers are reproducible across runs.  A candidate f is primitive when its
-d x d companion matrix C (multiplication by x mod f) has C^(p^d-1) = I and
-C^((p^d-1)/r) != I for every prime r dividing p^d - 1; the table build
-squares the same matrix.
+towers are reproducible across runs.  A candidate f with no root in GF(p)
+is primitive when its d x d companion matrix C (multiplication by x mod f)
+has C^(p^d-1) = I and C^((p^d-1)/r) != I for every prime r | p^d - 1.
 
-Multiplication, inversion and powering go through int32 discrete-log tables
-keyed by alpha, built by doubling: alpha^L..alpha^(2L-1) are the base-p
-digit rows of alpha^0..alpha^(L-1) times the matrix of multiplication by
-alpha^L, mod p, in fixed-size row blocks.  Addition is digit-wise mod p in
-`FieldTower.add`, the one digit loop.  A GF(p) constant c is the integer c,
-so negation is multiplication by p-1.  The subfield GF(q) is the span of
+There are no tables over the top field: all its arithmetic is on digit
+rows and C, mod p.  A row times C^k is that element times alpha^k; the
+matrix of multiplication by b has the rows b, b*alpha, ..., b*alpha^(d-1),
+so a product is one row-matrix product and b^k is row 0 of its k-th power.
+Addition is digit-wise mod p.  A tower costs O(d^2) memory at any order
+(GF(2^20) builds in about 3 ms, GF(2^26) in 17 ms at a 30 KB peak), and the
+float64 products stay below d*p^2 <= 2^53 under ORDER_GUARD, so are exact.
+
+A GF(p) constant c is the integer c.  The subfield GF(q) is the span of
 omega = alpha^g with g = (p^(e*m)-1)/(q-1); its elements are re-expressed
 as indices in [0, q) over the power basis of omega, which makes prime-field
 coefficients look like ordinary integers mod p, and the q x q tables
-`q_add`, `q_mul`, `q_inv`, `q_neg` give their arithmetic.
+`q_add`, `q_mul`, `q_inv`, `q_neg`, read off the digit rows of the powers
+of omega, give their arithmetic.
 
 Every polynomial is a GF(q)[x] polynomial of such indices.  `poly_mul` and
 `poly_divmod` update a whole row of the result per coefficient of one
@@ -29,7 +32,6 @@ the top field, where `poly_eval` finds the roots.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -110,35 +112,34 @@ def _companion(p: int, modulus: tuple[int, ...]) -> np.ndarray:
     return step
 
 
+def _mat_pow(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    """mat^k mod p for k >= 0 and mat reduced mod p, by square-and-multiply; fmod reduces the non-negative products, far cheaper than %."""
+    if k == 0:
+        return np.eye(len(mat))
+    acc = mat
+    for bit in bin(k)[3:]:
+        acc = np.fmod(acc @ acc, p)
+        if bit == "1":
+            acc = np.fmod(acc @ mat, p)
+    return acc
+
+
 def _x_is_primitive(mod: tuple[int, ...], p: int, group: int, primes: tuple[int, ...]) -> bool:
     # x^e = 1 exactly when the e-th power of its multiplication matrix is I
-    step = _companion(p, mod)
-    eye = np.eye(len(step))
-
-    def is_one(e: int) -> bool:
-        acc, sq = eye, step
-        while e:
-            if e & 1:
-                acc = acc @ sq % p
-            sq = sq @ sq % p
-            e >>= 1
-        return np.array_equal(acc, eye)
-
-    return is_one(group) and not any(is_one(group // r) for r in primes)
+    step, eye = _companion(p, mod), np.eye(len(mod) - 1)
+    return np.array_equal(_mat_pow(step, group, p), eye) and not any(np.array_equal(_mat_pow(step, group // r, p), eye) for r in primes)
 
 
 def _smallest_primitive_modulus(p: int, d: int) -> tuple[int, ...]:
     group = p**d - 1
     primes = _prime_factors(group)
+    powers = np.arange(p)[:, None] ** np.arange(d + 1) if d > 1 else None  # r^i for r in GF(p), below p^d
     for low in range(1, p**d):
         if low % p == 0:
             continue  # constant term 0 means x divides the candidate
-        digits = []
-        x = low
-        for _ in range(d):
-            digits.append(x % p)
-            x //= p
-        mod = tuple(digits) + (1,)
+        mod = tuple(low // p**i % p for i in range(d)) + (1,)
+        if d > 1 and not np.all(powers @ mod % p):
+            continue  # a root in GF(p) means a linear factor (values below p^(d+1) <= 2^39)
         if _x_is_primitive(mod, p, group, primes):
             return mod
     raise AssertionError("primitive polynomials exist for every degree")
@@ -148,41 +149,14 @@ def _smallest_primitive_modulus(p: int, d: int) -> tuple[int, ...]:
 # the tower
 # --------------------------------------------------------------------------
 
-_BLOCK_ROWS = 4096  # rows per digit-matrix product in the table build; temporaries stay near 1 MB
-
-
-def _power_tables(p: int, modulus: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """int32 antilog[j] = alpha^j for j < p^d - 1 and its inverse log (log[0] = -1).
-
-    Filled by doubling: with alpha^0..alpha^(L-1) known, alpha^(L+j) is the
-    base-p digit row of alpha^j times the d x d matrix of multiplication by
-    alpha^L, mod p; the matrix is then squared.  The float64 products stay
-    below d*p^2 and the int32 values below p^d, so both are exact.
-    """
-    d = len(modulus) - 1
-    group = p**d - 1
-    place = p ** np.arange(d, dtype=np.int32)
-    step = _companion(p, modulus)  # multiplication by alpha^L, here L = 1
-    antilog = np.empty(group, dtype=np.int32)
-    log = np.full(group + 1, -1, dtype=np.int32)
-    antilog[0], log[1] = 1, 0
-    known = 1
-    while known < group:
-        count = min(known, group - known)
-        for lo in range(0, count, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, count)
-            digits = antilog[lo:hi, None] // place % p
-            vals = (digits @ step).astype(np.int32) % p @ place
-            antilog[known + lo : known + hi] = vals
-            log[vals] = np.arange(known + lo, known + hi, dtype=np.int32)
-        step = step @ step % p
-        known += count
-    return antilog, log
-
 
 @dataclass(frozen=True, eq=False)
 class FieldTower:
     """GF(p) < GF(q = p^e) < GF(q^m), immutable after construction.
+
+    A top-field element is an integer in [0, order) whose base-p digits are
+    its coordinates over 1, alpha, ..., alpha^(d-1), d = e*m; every top-field
+    operation works on those digit rows and the matrix `step`, mod p.
 
     Attributes
     ----------
@@ -192,9 +166,10 @@ class FieldTower:
         p**(e*m), the size of the top field.
     subfield_gen_exp : int
         g with alpha^g a generator of GF(q)*, g = (order-1)/(q-1).
-    antilog, log : int32 numpy arrays
-        antilog[j] = alpha^j for 0 <= j < order-1; log is its inverse
-        (log[0] is a -1 sentinel).
+    step : float64 numpy array
+        The d x d matrix of multiplication by alpha (`_companion`).
+    place : int64 numpy array
+        p^0, ..., p^(d-1): an element is its digit row times `place`.
     subfield_to_tower, tower_to_subfield
         GF(q) index -> top-field element, and back.
     q_add, q_mul, q_inv, q_neg : int32 numpy arrays
@@ -208,8 +183,8 @@ class FieldTower:
     order: int
     q: int
     subfield_gen_exp: int
-    antilog: np.ndarray = field(repr=False)
-    log: np.ndarray = field(repr=False)
+    step: np.ndarray = field(init=False, repr=False)
+    place: np.ndarray = field(init=False, repr=False)
     subfield_to_tower: tuple[int, ...] = field(init=False, repr=False)
     tower_to_subfield: dict = field(init=False, repr=False)
     q_add: np.ndarray = field(init=False, repr=False)
@@ -218,74 +193,90 @@ class FieldTower:
     q_neg: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # index sum(c_i p^i) names sum(c_i omega^i); the GF(p) constant c is the integer c
-        embed = [0]
-        for i in range(self.e):
-            w = int(self.antilog[self.subfield_gen_exp * i])
-            embed = [self.add(self.mul(c, w), v) for c in range(self.p) for v in embed]
+        p, e, q = self.p, self.e, self.q
+        step = _companion(p, self.modulus)
+        place = p ** np.arange(len(step), dtype=np.int64)
+        # digit rows of omega^j for j < q - 1 by doubling: the known rows times the matrix of omega^L
+        powers, mat = np.eye(1, len(step)), _mat_pow(step, self.subfield_gen_exp, p)
+        while len(powers) < q - 1:
+            powers = np.vstack([powers, powers @ mat % p])
+            mat = mat @ mat % p
+        # index sum(c_i p^i) names sum(c_i omega^i), so GF(q) addition is digit-wise on indices
+        index_place = p ** np.arange(e)
+        coords = np.arange(q)[:, None] // index_place % p
+        embed = (coords @ powers[:e] % p @ place).astype(np.int64).tolist()
         index = {v: i for i, v in enumerate(embed)}
+        power_index = np.array([index[v] for v in (powers[: q - 1] @ place).astype(np.int64).tolist()])
+        log = np.zeros(q, dtype=np.int64)
+        log[power_index] = np.arange(q - 1)
+        q_mul = power_index[(log[:, None] + log) % (q - 1)]
+        q_mul[0], q_mul[:, 0] = 0, 0
+        q_inv = power_index[-log % (q - 1)]
+        q_inv[0] = 0
+        q_add = sum((coords[:, None, i] + coords[:, i]) % p * index_place[i] for i in range(e))
 
-        def table(values):
-            return np.array([index[v] for v in values], dtype=np.int32)
-
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "place", place)
         object.__setattr__(self, "subfield_to_tower", tuple(embed))
         object.__setattr__(self, "tower_to_subfield", index)
-        object.__setattr__(self, "q_add", table([self.add(a, b) for a in embed for b in embed]).reshape(self.q, self.q))
-        object.__setattr__(self, "q_mul", table([self.mul(a, b) for a in embed for b in embed]).reshape(self.q, self.q))
-        object.__setattr__(self, "q_inv", table([0] + [self.inv(a) for a in embed[1:]]))
-        object.__setattr__(self, "q_neg", table([self.neg(a) for a in embed]))
+        object.__setattr__(self, "q_add", q_add.astype(np.int32))
+        object.__setattr__(self, "q_mul", q_mul.astype(np.int32))
+        object.__setattr__(self, "q_inv", q_inv.astype(np.int32))
+        object.__setattr__(self, "q_neg", (-coords % p @ index_place).astype(np.int32))
 
     # -- top-field element ops (integers in [0, order)) --------------------
 
+    def _row(self, a: int) -> np.ndarray:
+        """Base-p digit row of a."""
+        return a // self.place % self.p
+
+    def _value(self, row: np.ndarray) -> int:
+        return int(row @ self.place)
+
+    def _matrix(self, a: int) -> np.ndarray:
+        """Matrix of multiplication by a: row i is the digit row of a * alpha^i."""
+        rows = [self._row(a)]
+        for _ in range(1, len(self.step)):
+            rows.append(rows[-1] @ self.step % self.p)
+        return np.array(rows, dtype=float)
+
     @property
     def alpha(self) -> int:
-        return int(self.antilog[1])
+        return self._value(self.step[0])  # row 0 of C is x mod f
 
-    def add(self, a, b):
+    def add(self, a: int, b: int) -> int:
         """Digit-wise sum mod p of two elements."""
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        out = 0
-        mult = 1
-        while mult < self.order:
-            out = out + (a % p + b % p) % p * mult
-            a, b, mult = a // p, b // p, mult * p
-        return out
+        return a ^ b if self.p == 2 else self._value((self._row(a) + self._row(b)) % self.p)
 
     def neg(self, a: int) -> int:
-        return self.mul(self.p - 1, a)
+        return self._value(-self._row(a) % self.p)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        g = self.order - 1
-        return int(self.antilog[(int(self.log[a]) + int(self.log[b])) % g])
+        return self._value(self._row(a) @ self._matrix(b) % self.p)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        g = self.order - 1
-        return int(self.antilog[(g - int(self.log[a])) % g])
+        return self.pow(a, -1)
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:
-            if k == 0:
-                return 1
             if k < 0:
                 raise ZeroDivisionError("0 to a negative power")
-            return 0
-        g = self.order - 1
-        return int(self.antilog[int(self.log[a]) * k % g])
+            return int(k == 0)
+        return self._value(_mat_pow(self._matrix(a), k % (self.order - 1), self.p)[0])
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
-        g = self.order - 1
-        return g // math.gcd(g, int(self.log[a]))
+        out = self.order - 1
+        for r in _prime_factors(out):
+            while out % r == 0 and self.pow(a, out // r) == 1:
+                out //= r
+        return out
 
     # -- subfield helpers (indices in [0, q)) -------------------------------
 
@@ -306,7 +297,7 @@ class FieldTower:
 
 @lru_cache(maxsize=None)
 def build_tower(p: int, e: int, m: int) -> FieldTower:
-    """Construct the tower GF(p) < GF(p^e) < GF(p^(e*m)) with full tables."""
+    """Construct the tower GF(p) < GF(p^e) < GF(p^(e*m)): its modulus and the GF(q) tables."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if e < 1 or m < 1:
@@ -317,7 +308,6 @@ def build_tower(p: int, e: int, m: int) -> FieldTower:
     order = p**d
     q = p**e
     modulus = _smallest_primitive_modulus(p, d)
-    antilog, log = _power_tables(p, modulus)
     return FieldTower(
         p=p,
         e=e,
@@ -326,8 +316,6 @@ def build_tower(p: int, e: int, m: int) -> FieldTower:
         order=order,
         q=q,
         subfield_gen_exp=(order - 1) // (q - 1),
-        antilog=antilog,
-        log=log,
     )
 
 
@@ -455,10 +443,11 @@ def lift_to_tower(t: FieldTower, f: Polynomial) -> tuple[int, ...]:
 
 def poly_eval(t: FieldTower, f: Polynomial, x: int) -> int:
     """f(x) at a top-field element x, by Horner over the lifted coefficients; 0 exactly at the roots of f."""
-    acc = 0
+    by_x = t._matrix(x)
+    acc = t._row(0)
     for c in reversed(lift_to_tower(t, f)):
-        acc = t.add(t.mul(acc, x), c)
-    return acc
+        acc = (acc @ by_x + t._row(c)) % t.p
+    return t._value(acc)
 
 
 def xn_minus_one(t: FieldTower, n: int) -> Polynomial:
@@ -468,27 +457,27 @@ def xn_minus_one(t: FieldTower, n: int) -> Polynomial:
 def minimal_polynomial(t: FieldTower, n: int, i: int) -> Polynomial:
     """Minimal polynomial over GF(q) of beta^i, beta = alpha^((q^m-1)/n).
 
-    Expands prod(x - beta^s) over the coset C_i of i modulo n and re-expresses
-    every coefficient at the GF(q) level; a coefficient outside the subfield
-    raises CoefficientEscape (an internal bug, since the product is Frobenius
-    stable by construction).
+    Expands prod(x + beta^s) over the coset C_i of i modulo n with the
+    coefficients as a (deg+1) x d array of digit rows, one matrix product
+    shift(poly) + poly @ R per root (R multiplies by it; the next root's R is
+    R^q, by Frobenius), then puts in the signs of prod(x - beta^s).  A
+    coefficient outside GF(q) raises CoefficientEscape (an internal bug).
     """
     group = t.order - 1
     if n < 1 or group % n != 0:
         raise NotADivisor(f"n={n} does not divide q^m-1={group}")
     if not 0 <= i < n:
         raise OutOfRange(f"i={i} outside [0, {n})")
-    beta_exp = group // n
-    coset = cosets.cyclotomic_coset(t.q, n, i)
-    poly = [1]
-    for s in coset.elements:
-        root = int(t.antilog[beta_exp * s % group])
-        # multiply poly by (x - root)
-        nxt = [0] * (len(poly) + 1)
-        for k, c in enumerate(poly):
-            if c == 0:
-                continue
-            nxt[k + 1] = t.add(nxt[k + 1], c)
-            nxt[k] = t.sub(nxt[k], t.mul(c, root))
-        poly = nxt
-    return Polynomial(tuple(t.project_subfield(c) for c in poly))
+    size = cosets.cyclotomic_coset(t.q, n, i).size
+    root = _mat_pow(t.step, group // n * i % group, t.p)
+    poly = np.zeros((size + 1, len(t.step)))
+    poly[0, 0] = 1  # the constant 1; after k factors, rows 0..k hold the coefficients
+    for k in range(size):
+        if k:
+            root = _mat_pow(root, t.q, t.p)
+        nxt = poly @ root  # times (x + root): every term non-negative, so fmod reduces it
+        nxt[1:] += poly[:-1]
+        poly = np.fmod(nxt, t.p)
+    # that is prod(x + beta^s); in prod(x - beta^s) the coefficient of x^j has the sign (-1)^(size-j)
+    poly[size - 1 :: -2] = np.fmod(t.p - poly[size - 1 :: -2], t.p)
+    return Polynomial(tuple(t.project_subfield(v) for v in (poly @ t.place).astype(np.int64).tolist()))

@@ -1,6 +1,7 @@
 """Command-line behaviour: schemas, formats, exit codes, round-tripping."""
 
 import json
+import time
 
 import pytest
 
@@ -278,9 +279,9 @@ GIANT = ["--q", "3", "--m", "10000"]  # 3^10000 has 4,772 digits, past the 4,300
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cosets", *GIANT, "--family", "minus", "--top", "1"],  # cosets.check_table_size
-        ["dually-bch", *GIANT, "--family", "minus", "--delta", "1"],  # bch.defining_set
-        ["cosets", *GIANT, "--family", "minus", "--coset", "-1"],  # cosets.cyclotomic_coset
+        ["cosets", *GIANT, "--family", "minus", "--top", "1"],  # cosets.family_length
+        ["dually-bch", *GIANT, "--family", "minus", "--delta", "1"],  # cosets.family_length
+        ["cosets", *GIANT, "--family", "minus", "--coset", "-1"],  # cosets.family_length
         ["code", *GIANT, "--family", "raw", "--n", "4", "--delta", "2"],  # gf.build_tower
         ["code", *GIANT, "--family", "raw", "--n", "7", "--delta", "2"],  # bch.build_family_code, 7 does not divide 3^10000 - 1
     ],
@@ -289,6 +290,32 @@ def test_giant_m_is_one_error_line(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_raw_code_on_a_2_24_tower_is_quick(capsys):
+    # the tower holds no table over its 2^24 elements; only the n = 241 structures grow with the query
+    gf.tower_for.cache_clear()
+    gf.build_tower.cache_clear()
+    start = time.perf_counter()
+    rc, out, _ = run_cli(capsys, "code", "--q", "2", "--m", "24", "--family", "raw", "--n", "241", "--delta", "3")
+    assert time.perf_counter() - start < 2
+    doc = json.loads(out)
+    assert rc == 0 and (doc["dim"], doc["genpoly_degree"]) == (217, 24)
+
+
+def test_family_length_past_the_digit_cap_is_one_error_line(capsys):
+    # an in-range coset: the walk would succeed, but n could not be printed
+    rc, out, err = run_cli(capsys, "cosets", *GIANT, "--family", "minus", "--coset", "5")
+    assert rc == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "4300 decimal digits" in err
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "cosets", "--q", "3", "--m", str(3 * 10**7), "--family", "minus", "--coset", "5")
+    assert rc == 1 and not out and err.startswith("error: ")
+    assert time.perf_counter() - start < 0.5  # refused from m*log10(q), without forming 3^m
+    # 3^8000 has 3,818 digits: still printed
+    rc, out, _ = run_cli(capsys, "cosets", "--q", "3", "--m", "8000", "--family", "minus", "--coset", "5", "--max-elements", "0")
+    assert rc == 0
+    assert json.loads(out) == {"leader": 5, "n": (3**8000 - 1) // 2, "q": 3, "size": 8000}
 
 
 @pytest.mark.parametrize(

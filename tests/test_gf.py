@@ -6,6 +6,10 @@ multiplication, closure checks), or checked structurally (divisibility,
 degrees, Frobenius stability).
 """
 
+import functools
+import math
+import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from cosetforge import bch, cosets, gf
 from cosetforge.errors import (
     CoefficientEscape,
+    FamilyConstraint,
     ModByZero,
     NotADivisor,
     NotPrime,
@@ -237,9 +242,11 @@ def test_smallest_primitive_modulus_matches_order_oracle(p, d):
     assert gf._smallest_primitive_modulus(p, d) == _first_primitive_by_order(p, d)
 
 
+@functools.lru_cache(maxsize=None)
 def _sequential_tower(p, e, m):
-    """Reference tables: step alpha^j -> alpha^(j+1) by multiplying digit vectors
-    by x one at a time, with digit-wise sums, negations and GF(p) scalings."""
+    """Reference tower: step alpha^j -> alpha^(j+1) by multiplying digit vectors
+    by x one at a time, with digit-wise sums, negations and GF(p) scalings, and
+    log/antilog tables over the whole top field for the products."""
     d = e * m
     order, q = p**d, p**e
     modulus = gf._smallest_primitive_modulus(p, d)
@@ -260,7 +267,10 @@ def _sequential_tower(p, e, m):
         digits = [(c - carry * r) % p for c, r in zip(digits, modulus)]
 
     def add(a, b):
-        return from_digits([(x + y) % p for x, y in zip(to_digits(a), to_digits(b))])
+        return a ^ b if p == 2 else from_digits([(x + y) % p for x, y in zip(to_digits(a), to_digits(b))])
+
+    def neg(a):
+        return from_digits([-c % p for c in to_digits(a)])
 
     def mul(a, b):
         return 0 if a == 0 or b == 0 else antilog[(log[a] + log[b]) % (order - 1)]
@@ -274,16 +284,15 @@ def _sequential_tower(p, e, m):
             acc = add(acc, from_digits([c * x % p for x in to_digits(antilog[g * i])]))
         embed.append(acc)
     index = {v: i for i, v in enumerate(embed)}
-    return {
-        "antilog": antilog,
-        "log": [-1] + [log[v] for v in range(1, order)],
+    tables = {
         "subfield_to_tower": tuple(embed),
         "tower_to_subfield": index,
         "q_add": [[index[add(a, b)] for b in embed] for a in embed],
         "q_mul": [[index[mul(a, b)] for b in embed] for a in embed],
         "q_inv": [0] + [index[antilog[-log[a] % (order - 1)]] for a in embed[1:]],
-        "q_neg": [index[from_digits([-c % p for c in to_digits(a)])] for a in embed],
+        "q_neg": [index[neg(a)] for a in embed],
     }
+    return SimpleNamespace(antilog=antilog, log=log, add=add, neg=neg, mul=mul, tables=tables)
 
 
 # p in {2, 3, 5, 7} x e in {1, 2, 3}; three towers of order >= 2^16
@@ -295,20 +304,67 @@ DIFF_TOWERS = [
 ]  # fmt: skip
 
 
-@pytest.mark.parametrize("block", [None, 5])
 @pytest.mark.parametrize("p,e,m", DIFF_TOWERS)
-def test_tables_match_sequential_build(p, e, m, block, monkeypatch):
-    if block is not None:  # many blocks per doubling step
-        monkeypatch.setattr(gf, "_BLOCK_ROWS", block)
+def test_tables_match_sequential_build(p, e, m):
     t = gf.build_tower.__wrapped__(p, e, m)
     ref = _sequential_tower(p, e, m)
-    assert t.antilog.dtype == t.log.dtype == np.int32
-    for name, want in ref.items():
+    for name, want in ref.tables.items():
         got = getattr(t, name)
         if isinstance(got, np.ndarray):
-            assert got.tolist() == want, name
+            assert got.dtype == np.int32 and got.tolist() == want, name
         else:
             assert got == want, name
+    group = t.order - 1
+    rng = random.Random(f"{p}-{e}-{m}")
+    for j in range(group) if t.order <= 2**12 else rng.sample(range(group), 400):
+        assert t.pow(t.alpha, j) == ref.antilog[j], j
+    for _ in range(200):
+        a, b = rng.randrange(1, t.order), rng.randrange(t.order)
+        assert t.mul(a, b) == t.mul(b, a) == ref.mul(a, b)
+        assert t.mul(0, a) == 0
+        assert t.inv(a) == ref.antilog[-ref.log[a] % group]
+        assert t.element_order(a) == group // math.gcd(group, ref.log[a])
+
+
+def _scalar_minimal_polynomial(ref, q, n, i):
+    """prod(x - beta^s) over the coset of i, one scalar sum and product per coefficient touched."""
+    group = len(ref.antilog)
+    poly = [1]
+    for s in cosets.cyclotomic_coset(q, n, i).elements:
+        root = ref.antilog[group // n * s % group]
+        nxt = [0] * (len(poly) + 1)
+        for k, c in enumerate(poly):
+            nxt[k + 1] = ref.add(nxt[k + 1], c)
+            nxt[k] = ref.add(nxt[k], ref.neg(ref.mul(c, root)))
+        poly = nxt
+    return tuple(ref.tables["tower_to_subfield"][c] for c in poly)
+
+
+@pytest.mark.parametrize("p,e,m", DIFF_TOWERS)
+def test_minimal_polynomial_matches_scalar_expansion(p, e, m):
+    t = gf.build_tower(p, e, m)
+    ref = _sequential_tower(p, e, m)
+    lengths = []
+    for family in cosets.FAMILIES:
+        try:
+            lengths.append(cosets.family_length(t.q, m, family))
+        except FamilyConstraint:
+            pass
+    assert lengths
+    for n in lengths:
+        for lead in cosets.coset_leaders(t.q, n):
+            assert gf.minimal_polynomial(t, n, lead).coeffs == _scalar_minimal_polynomial(ref, t.q, n, lead), (n, lead)
+
+
+def test_tower_at_the_guard_takes_under_1_mb():
+    tracemalloc.start()
+    try:
+        t = gf.build_tower.__wrapped__(2, 1, 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.order == 2**26 and t.element_order(t.alpha) == 2**26 - 1
+    assert peak < 2**20
 
 
 AXIOM_TOWERS = [(2, 1, 4), (2, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2), (7, 1, 2)]
