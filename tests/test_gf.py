@@ -304,8 +304,9 @@ DIFF_TOWERS = [
 ]  # fmt: skip
 
 
+@pytest.mark.parametrize("base", [None, 5])  # the powers checked are of alpha, or of alpha^5
 @pytest.mark.parametrize("p,e,m", DIFF_TOWERS)
-def test_tables_match_sequential_build(p, e, m):
+def test_tables_match_sequential_build(p, e, m, base):
     t = gf.build_tower.__wrapped__(p, e, m)
     ref = _sequential_tower(p, e, m)
     for name, want in ref.tables.items():
@@ -315,9 +316,13 @@ def test_tables_match_sequential_build(p, e, m):
         else:
             assert got == want, name
     group = t.order - 1
-    rng = random.Random(f"{p}-{e}-{m}")
+    k = 1 if base is None else base
+    b = t.alpha if base is None else t.pow(t.alpha, base)
+    assert b == ref.antilog[k] and t.element_order(b) == group // math.gcd(group, k)
+    rng = random.Random(f"{p}-{e}-{m}-{base}")
     for j in range(group) if t.order <= 2**12 else rng.sample(range(group), 400):
-        assert t.pow(t.alpha, j) == ref.antilog[j], j
+        assert t.pow(b, j) == ref.antilog[k * j % group], j
+        assert t.pow(b, -j) == ref.antilog[-k * j % group], j
     for _ in range(200):
         a, b = rng.randrange(1, t.order), rng.randrange(t.order)
         assert t.mul(a, b) == t.mul(b, a) == ref.mul(a, b)
