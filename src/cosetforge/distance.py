@@ -4,20 +4,27 @@ Every code here is cyclic, c = u g with deg u < k.  A shift and a scaling
 move any nonzero codeword to one with c_0 = 1 and keep its weight, and only
 the row x^0 g touches c_0, so enumeration visits just the q^(k-1) words
 with u_0 = g_0^-1.  Their weight histogram N_w gives the minimum distance
-(the first w >= 1 with N_w > 0) and A_w = n (q-1) N_w / w.  It works on
-GF(q) element indices (q_add, q_mul), tabulating the spans of two halves
-of the other rows (meet in the middle): a + b = 0 exactly when a = -b, so
-weights are one vectorised comparison.  The MacWilliams transform runs the
-three-term Krawtchouk recurrence (MacWilliams & Sloane, ch. 5).  `route`
-is the one budget policy: direct when q^k fits, else the dual when q^(n-k)
-fits, else no exact answer.
+(the first w >= 1 with N_w > 0) and A_w = n (q-1) N_w / w.
+
+Words are counted in pairs (meet in the middle): q^a left words from the
+c_0 = 1 row against q^b right words, shifted by each combination of the
+remaining rows.  x + y is zero where x_i = -y_i, so per block of positions
+one product of the float32 one-hot matrices [x_i = v] and [-y_i = v]
+(v < q) counts those positions for all q^a x q^b pairs, and a weight is n
+minus their sum over blocks.  Every partial sum of an entry is an integer
+at most the block width (< 2^24), so exact in float32 in any order, and
+the float64 sum over blocks is exact (n < 2^53).  One cap bounds q^(a+b)
+and each one-hot block (at least one position wide).
+
+The MacWilliams transform runs the three-term Krawtchouk recurrence
+(MacWilliams & Sloane, ch. 5).  `route` is the one budget policy: direct
+when q^k fits, else the dual when q^(n-k) fits, else no exact answer.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +35,7 @@ from .errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntege
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "COSETFORGE_BUDGET"
 
-_TABLE_ENTRIES = 1 << 22  # cap on rows x n of one span table
+_TABLE_ENTRIES = 1 << 17  # cap on the word pairs of one product and the entries of one one-hot block
 
 
 def effective_budget(budget: int | None = None) -> int:
@@ -65,17 +72,12 @@ class DistanceResult:
     enumerated: int
 
 
-def _span_tables(add: np.ndarray, mul: np.ndarray, start: np.ndarray, rows: list, fit: int) -> Iterator[np.ndarray]:
-    """Tables of at most q^fit rows that together list start + every combination of rows."""
-    q, n, lead = len(mul), len(start), max(0, len(rows) - fit)
-    for scalars in itertools.product(range(q), repeat=lead):
-        word = start
-        for s, r in zip(scalars, rows):
-            word = add[word, mul[s, r]]
-        table = word[None, :]
-        for r in rows[lead:]:
-            table = add[table[None, :, :], mul[:, r][:, None, :]].reshape(-1, n)
-        yield table
+def _span(add: np.ndarray, mul: np.ndarray, start: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """start + every GF(q) combination of rows, one word per row of a q^len(rows) x len(start) table."""
+    table = start[None, :]
+    for r in rows:
+        table = add[table[None, :, :], mul[:, r][:, None, :]].reshape(-1, len(start))
+    return table
 
 
 def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
@@ -89,17 +91,26 @@ def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
     dt = np.min_scalar_type(q - 1)
     add = np.asarray(t.q_add, dtype=dt)
     mul = np.asarray(t.q_mul, dtype=dt)
-    neg = np.asarray(t.q_neg, dtype=dt)
     g = np.zeros(n, dtype=dt)
     g[: len(code.genpoly.coeffs)] = code.genpoly.coeffs
     assert g[0], "the generator of a cyclic code has g_0 != 0"
     base = mul[t.q_inv[g[0]], g]  # u_0 = g_0^-1, so c_0 = 1
-    rows = [np.roll(g, j) for j in range(1, k)]  # x^j g, zero at position 0
-    fit = next(r for r in itertools.count() if q ** (r + 1) * n > _TABLE_ENTRIES)
-    (first,) = _span_tables(add, mul, base, rows[:fit], fit)
-    for table in _span_tables(add, mul, np.zeros(n, dtype=dt), rows[fit:], fit):
-        for b in neg[table]:
-            hist += np.bincount((first != b).sum(axis=1, dtype=np.min_scalar_type(n)), minlength=n + 1)
+    rows = np.array([np.roll(g, j) for j in range(1, k)], dtype=dt).reshape(k - 1, n)  # x^j g, zero at position 0
+    s = min(k - 1, next(r for r in itertools.count() if q ** (r + 1) > _TABLE_ENTRIES))  # q^s word pairs per product
+    a, b = (s + 1) // 2, s // 2
+    width = max(1, _TABLE_ENTRIES // q ** (a + 1))  # positions per one-hot block of the q^a left words
+    one_hot = np.eye(q, dtype=np.float32)  # row v: [v == 0], ..., [v == q-1]
+    neg_hot = one_hot[t.q_neg]  # row v: the one-hot of -v
+    for scalars in itertools.product(range(q), repeat=k - 1 - s):
+        word = np.zeros(n, dtype=dt)
+        for c, r in zip(scalars, rows[s:]):
+            word = add[word, mul[c, r]]
+        eq = np.zeros((q**a, q**b))  # positions where the left word = -the right word
+        for i in range(0, n, width):
+            lhs = np.take(one_hot, _span(add, mul, base[i : i + width], rows[:a, i : i + width]), axis=0)
+            rhs = np.take(neg_hot, _span(add, mul, word[i : i + width], rows[a:s, i : i + width]), axis=0)
+            eq += lhs.reshape(q**a, -1) @ rhs.reshape(q**b, -1).T
+        hist += np.bincount(n - eq.astype(np.intp).ravel(), minlength=n + 1)
     return hist
 
 

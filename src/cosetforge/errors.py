@@ -16,6 +16,11 @@ ORDER_GUARD = 2**26
 # family length, n = 39,449,441 (q = 79, m = 5, minus), raises MemoryError.
 SWEEP_GUARD = 38_386_660
 
+# Largest subfield order q: the q x q tables peak near 24 bytes per entry.
+# `code --q Q --m 1 --family raw --n 2 --delta 2` under RLIMIT_AS = 1 GiB
+# (2-vCPU Xeon VM, numpy 2.4.6): q = 6007 finishes, q = 6521 raises MemoryError.
+SUBFIELD_GUARD = 2**12
+
 # Most decimal digits of q^m in a family length n = (q^m-1)/(q+-1): reports
 # print n, and str() refuses integers past 4,300 digits by default.
 DIGIT_GUARD = 4300
@@ -35,7 +40,7 @@ class NotPrime(CosetForgeError, ValueError):
 
 
 class OrderTooLarge(CosetForgeError, ValueError):
-    """Field order or modulus n exceeds ORDER_GUARD, or a sweep's n exceeds SWEEP_GUARD."""
+    """Field order or modulus n exceeds ORDER_GUARD, q exceeds SUBFIELD_GUARD, or a sweep's n exceeds SWEEP_GUARD."""
 
 
 class ModByZero(CosetForgeError, ZeroDivisionError):

@@ -32,6 +32,7 @@ the top field, where `poly_eval` finds the roots.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,6 +42,7 @@ import numpy as np
 from . import cosets
 from .errors import (
     ORDER_GUARD,
+    SUBFIELD_GUARD,
     CoefficientEscape,
     ModByZero,
     NotADivisor,
@@ -53,17 +55,6 @@ from .errors import (
 # --------------------------------------------------------------------------
 # small helpers over GF(p)
 # --------------------------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:
@@ -81,22 +72,17 @@ def _prime_factors(n: int) -> tuple[int, ...]:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^e with p prime; raises NotPrime otherwise."""
+    """Decompose q = p^e with p prime (its least divisor > 1, by trial division to sqrt(q)); raises NotPrime otherwise."""
     if q < 2:
         raise NotPrime(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if not _is_prime(p):
-            continue
-        if q % p == 0:
-            e = 0
-            x = q
-            while x % p == 0:
-                x //= p
-                e += 1
-            if x != 1:
-                raise NotPrime(f"{q} is not a prime power")
-            return p, e
-    raise NotPrime(f"{q} is not a prime power")
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e, x = 0, q
+    while x % p == 0:
+        x //= p
+        e += 1
+    if x != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    return p, e
 
 
 def _companion(p: int, modulus: tuple[int, ...]) -> np.ndarray:
@@ -298,15 +284,17 @@ class FieldTower:
 @lru_cache(maxsize=None)
 def build_tower(p: int, e: int, m: int) -> FieldTower:
     """Construct the tower GF(p) < GF(p^e) < GF(p^(e*m)): its modulus and the GF(q) tables."""
-    if not _is_prime(p):
+    if prime_power(p)[1] != 1:
         raise NotPrime(f"{p} is not prime")
     if e < 1 or m < 1:
         raise OutOfRange(f"need e >= 1 and m >= 1, got e={e}, m={m}")
     d = e * m
     if d >= ORDER_GUARD.bit_length() or p**d > ORDER_GUARD:  # p^d >= 2^d: a long exponent is over the guard without forming p^d
         raise OrderTooLarge(f"p^(e*m) = {p}^{d} exceeds the guard {ORDER_GUARD}")
-    order = p**d
     q = p**e
+    if q > SUBFIELD_GUARD:
+        raise OrderTooLarge(f"q = {q} exceeds the subfield guard {SUBFIELD_GUARD} of the q x q tables")
+    order = p**d
     modulus = _smallest_primitive_modulus(p, d)
     return FieldTower(
         p=p,

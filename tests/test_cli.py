@@ -1,6 +1,10 @@
 """Command-line behaviour: schemas, formats, exit codes, round-tripping."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -290,6 +294,17 @@ def test_giant_m_is_one_error_line(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", ["8191", "1000003"])
+def test_subfield_over_the_table_guard_is_one_error_line(q):
+    # unguarded, the q x q GF(q) tables take about 1.5 GB at q = 8191 and end in a MemoryError traceback at q = 1000003
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "cosetforge", "code", "--q", q, "--m", "1", "--family", "raw", "--n", "2", "--delta", "2"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr == f"error: q = {q} exceeds the subfield guard 4096 of the q x q tables\n"
 
 
 def test_raw_code_on_a_2_24_tower_is_quick(capsys):

@@ -2,7 +2,10 @@
 
 The naive oracles below never touch the library's fast paths: one multiplies
 every message polynomial by the generator with plain table arithmetic, the
-other applies the MacWilliams identity with the Krawtchouk triple sum.
+other applies the MacWilliams identity with the Krawtchouk triple sum.  A
+third, `pairwise_histogram`, is the engine's former kernel (one `!=` pass
+per right-hand word), fast enough to check codes of length in the tens of
+thousands, where the scalar oracle is not.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetforge import bch, distance, gf
+from cosetforge import bch, cosets, distance, gf, verify
 from cosetforge.errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntegerTransform, OutOfRange
 
 
@@ -32,6 +35,39 @@ def naive_weights(t, code):
                     word[(i + j) % n] = int(t.q_add[word[(i + j) % n], t.q_mul[mc, c]])
         counts[sum(1 for x in word if x)] += 1
     return counts
+
+
+def _span_tables(add, mul, start, rows, fit):
+    """Tables of at most q^fit rows that together list start + every combination of rows."""
+    q, n, lead = len(mul), len(start), max(0, len(rows) - fit)
+    for scalars in itertools.product(range(q), repeat=lead):
+        word = start
+        for s, r in zip(scalars, rows):
+            word = add[word, mul[s, r]]
+        table = word[None, :]
+        for r in rows[lead:]:
+            table = add[table[None, :, :], mul[:, r][:, None, :]].reshape(-1, n)
+        yield table
+
+
+def pairwise_histogram(t, code):
+    """N_0..N_n of the c_0 = 1 codewords: each word of a right table against a whole left table with `!=`."""
+    q, n, k = t.q, code.n, code.dimension
+    hist = np.zeros(n + 1, dtype=np.int64)
+    if k == 0:
+        return hist
+    dt = np.min_scalar_type(q - 1)
+    add, mul, neg = (np.asarray(x, dtype=dt) for x in (t.q_add, t.q_mul, t.q_neg))
+    g = np.zeros(n, dtype=dt)
+    g[: len(code.genpoly.coeffs)] = code.genpoly.coeffs
+    base = mul[t.q_inv[g[0]], g]
+    rows = [np.roll(g, j) for j in range(1, k)]
+    fit = next(r for r in itertools.count() if q ** (r + 1) * n > 1 << 22)  # a left table of at most 2^22 entries
+    (first,) = _span_tables(add, mul, base, rows[:fit], fit)
+    for table in _span_tables(add, mul, np.zeros(n, dtype=dt), rows[fit:], fit):
+        for b in neg[table]:
+            hist += np.bincount((first != b).sum(axis=1), minlength=n + 1)
+    return hist
 
 
 def naive_macwilliams(counts, q):
@@ -123,8 +159,57 @@ def test_enumerator_matches_naive_oracle(q, m, n, delta):
 @pytest.mark.parametrize("table_entries", [0, 64])
 @pytest.mark.parametrize("q,m,n,delta", [(2, 6, 21, 5), (3, 4, 16, 5), (4, 3, 21, 10), (9, 2, 10, 4), (9, 2, 10, 6)])
 def test_enumerator_with_tiny_tables_matches_naive_oracle(q, m, n, delta, table_entries, monkeypatch):
-    monkeypatch.setattr(distance, "_TABLE_ENTRIES", table_entries)  # many blocks, both halves split
+    monkeypatch.setattr(distance, "_TABLE_ENTRIES", table_entries)  # spans of 0-6 rows, many lead rows, narrow position blocks
     check_against_oracle(q, m, n, delta)
+
+
+def repetition_code(t, n):
+    """The [n, 1] code of the all-ones word: every nonzero residue is a root."""
+    ds = bch._make_defining_set(t.q, n, mask(n, set(range(1, n))))
+    return bch.CyclicCode(q=t.q, n=n, genpoly=gf.Polynomial((1,) * n), defining=ds, dimension=1)
+
+
+# (q, m, n, delta, dual): [14706, 4] (CLM-T1 at delta1: 39 position blocks, the last ragged), [300, 5]
+# (one block), [300, 8] (6 blocks and 7 lead combinations), [21, 17] and [21, 1]
+GEMM_ORACLE_CODES = [
+    (7, 6, 14706, 12599, False),
+    (7, 4, 300, 251, False),
+    (7, 4, 300, 3, True),
+    (2, 6, 21, 8, True),
+    (2, 6, 21, 10, False),
+]
+
+
+@pytest.mark.parametrize("q,m,n,delta,dual", GEMM_ORACLE_CODES)
+def test_enumerator_matches_pairwise_oracle(q, m, n, delta, dual):
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, delta)
+    if dual:
+        code = bch.dual_code(t, code)
+    got = distance._weight_histogram(t, code, distance.DEFAULT_BUDGET)
+    assert got.tolist() == pairwise_histogram(t, code).tolist()
+
+
+def test_repetition_code_over_two_ragged_blocks():
+    t = gf.tower_for(2, 18)
+    n = cosets.family_length(2, 18, cosets.PLUS)  # 87381 positions, 2^17 / 2 per block
+    code = repetition_code(t, n)
+    got = distance._weight_histogram(t, code, distance.DEFAULT_BUDGET)
+    assert got.tolist() == pairwise_histogram(t, code).tolist() == [0] * n + [1]
+
+
+def test_every_default_grid_enumeration_matches_pairwise_oracle(monkeypatch):
+    kernel, seen = distance._weight_histogram, []
+
+    def checked(t, code, budget):
+        got = kernel(t, code, budget)
+        assert got.tolist() == pairwise_histogram(t, code).tolist(), (t.q, code.n, code.dimension)
+        seen.append(t.q**code.dimension)
+        return got
+
+    monkeypatch.setattr(distance, "_weight_histogram", checked)
+    verify.verify_all()
+    assert len(seen) == 34 and max(seen) == 7**8  # the largest is the [300, 8] dual over GF(7)
 
 
 def test_enumerator_on_duals_matches_naive_oracle():

@@ -9,6 +9,7 @@ degrees, Frobenius stability).
 import functools
 import math
 import random
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -81,6 +82,24 @@ def test_prime_power():
         gf.prime_power(6)
     with pytest.raises(NotPrime):
         gf.prime_power(1)
+
+
+def test_prime_power_of_a_large_prime_is_quick():
+    start = time.perf_counter()
+    assert gf.prime_power(1_000_003) == (1_000_003, 1)
+    assert gf.prime_power(9_999_991) == (9_999_991, 1)
+    assert gf.prime_power(1_000_003**2) == (1_000_003, 2)
+    assert time.perf_counter() - start < 1  # trial division by d <= sqrt(q), not a primality test of every p < q
+    for q in (2 * 1_000_003, 999_983 * 1_000_003, 3 * 2**20):
+        with pytest.raises(NotPrime):
+            gf.prime_power(q)
+
+
+def test_subfield_guard():
+    with pytest.raises(OrderTooLarge, match="subfield guard"):
+        gf.build_tower(8191, 1, 1)
+    with pytest.raises(OrderTooLarge, match="q = 8192"):
+        gf.build_tower(2, 13, 1)  # 2^13 is under ORDER_GUARD, but its q x q tables are not built
 
 
 def test_field_arithmetic_examples():
