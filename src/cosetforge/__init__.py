@@ -73,6 +73,7 @@ from .gf import (
     prime_power,
     tower_for,
     xn_minus_one,
+    xn_minus_one_over,
 )
 from .verify import Claim, ClaimReport, list_claims, verify_all, verify_claim
 

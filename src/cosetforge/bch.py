@@ -210,11 +210,16 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
 
 
 def dually_bch_length(q: int, m: int, family: str) -> int:
-    """Family length n of a point where the dually-BCH decision applies (q a prime power, m >= 4)."""
-    gf.prime_power(q)
+    """Family length n of a point where the dually-BCH decision applies (q a prime power, m >= 4, n under ORDER_GUARD).
+
+    n is checked against the guard before q is decomposed: trial division of a huge prime q takes sqrt(q) steps.
+    """
     if m < 4:
         raise FamilyConstraint(f"need m >= 4, got m={m}")
-    return cosets.family_length(q, m, family)
+    n = cosets.family_length(q, m, family)
+    cosets.check_table_size(n)
+    gf.prime_power(q)
+    return n
 
 
 def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
@@ -287,8 +292,9 @@ def generator_polynomial(t: gf.FieldTower, ds: DefiningSet) -> gf.Polynomial:
     """Monic divisor of x^n - 1 whose root exponents are exactly the set.
 
     Computed as the product of the minimal polynomials of the source cosets,
-    or as (x^n - 1) divided by the complement's product when that side is
-    smaller (both give the same monic polynomial).
+    or as (x^n - 1) divided by the complement's product h when that side is
+    smaller (both give the same monic polynomial); the division is
+    `gf.xn_minus_one_over`, which reads the quotient off the series 1/h.
     """
     _check_tower(t, ds.q, ds.n)
     n = ds.n
@@ -296,9 +302,7 @@ def generator_polynomial(t: gf.FieldTower, ds: DefiningSet) -> gf.Polynomial:
     if ds.size <= k:
         g = _minpoly_product(t, n, ds.source_cosets)
     else:
-        h = _minpoly_product(t, n, _make_defining_set(ds.q, n, ~ds.mask).source_cosets)
-        g, rem = gf.poly_divmod(t, gf.xn_minus_one(t, n), h)
-        assert rem.is_zero()
+        g = gf.xn_minus_one_over(t, n, _minpoly_product(t, n, _make_defining_set(ds.q, n, ~ds.mask).source_cosets))
     assert g.degree == ds.size or (ds.size == 0 and g.degree == 0)
     return g
 
@@ -348,6 +352,7 @@ def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: in
             raise UsageError("family 'raw' needs an explicit n")
         if n < 1 or m < 1:
             raise OutOfRange(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        gf.check_tower_order(q, m)
         gf.prime_power(q)  # NotPrime still comes before a bad n
         if pow(q, m, n) != 1 % n:  # n does not divide q^m - 1 (tested without forming q^m)
             raise TowerMismatch(f"n={n} does not divide q^m-1={show_int(q**m - 1)}")

@@ -232,7 +232,6 @@ def _cmd_dually_bch(args) -> tuple[dict, int]:
     n = bch.dually_bch_length(args.q, args.m, args.family)
     base = {"q": args.q, "m": args.m, "family": args.family, "n": n}
     if args.sweep:
-        cosets.check_table_size(n)  # the table-size guard speaks first, as on every other path
         if n > SWEEP_GUARD:
             raise OrderTooLarge(f"n = {n} exceeds the sweep-output guard {SWEEP_GUARD}; use --delta for single points")
         verdicts = bch.dually_bch_sweep(args.q, n)

@@ -16,14 +16,21 @@ ORDER_GUARD = 2**26
 # family length, n = 39,449,441 (q = 79, m = 5, minus), raises MemoryError.
 SWEEP_GUARD = 38_386_660
 
-# Largest subfield order q: the q x q tables peak near 24 bytes per entry.
-# `code --q Q --m 1 --family raw --n 2 --delta 2` under RLIMIT_AS = 1 GiB
-# (2-vCPU Xeon VM, numpy 2.4.6): q = 6007 finishes, q = 6521 raises MemoryError.
+# Largest subfield order q.  The two int32 q x q tables are built with one
+# q x q int32 temporary, about 12 bytes per entry at the peak: under
+# RLIMIT_AS = 1 GiB (2-vCPU Xeon VM, numpy 2.4.6) the tables of q = 4096
+# peak at 191 MB RSS and those of q = 8191 at 798 MB.  The guard stays at
+# 2^12, which leaves the rest of a run most of the 1 GiB.
 SUBFIELD_GUARD = 2**12
 
 # Most decimal digits of q^m in a family length n = (q^m-1)/(q+-1): reports
 # print n, and str() refuses integers past 4,300 digits by default.
 DIGIT_GUARD = 4300
+
+
+def over_order_guard(q: int, m: int) -> bool:
+    """Whether q^m > ORDER_GUARD for q >= 2, decided from a long exponent alone (q^m >= 2^m)."""
+    return q >= 2 and (m >= ORDER_GUARD.bit_length() or q**m > ORDER_GUARD)
 
 
 def show_int(x: int) -> str:
@@ -48,7 +55,7 @@ class ModByZero(CosetForgeError, ZeroDivisionError):
 
 
 class NotADivisor(CosetForgeError, ValueError):
-    """n does not divide the multiplicative group order q^m - 1."""
+    """n does not divide the multiplicative group order q^m - 1, or a polynomial does not divide x^n - 1."""
 
 
 class CoefficientEscape(CosetForgeError, RuntimeError):

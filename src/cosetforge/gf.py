@@ -27,7 +27,11 @@ of omega, give their arithmetic.
 Every polynomial is a GF(q)[x] polynomial of such indices.  `poly_mul` and
 `poly_divmod` update a whole row of the result per coefficient of one
 operand through those tables; `lift_to_tower` embeds the coefficients in
-the top field, where `poly_eval` finds the roots.
+the top field, where `poly_eval` finds the roots.  `xn_minus_one_over`
+divides x^n - 1 by a divisor h of degree k without long division: the
+quotient is minus the power series 1/h, a linear recurring sequence of
+order k, and each block of its terms is the previous k terms' digit row
+times one float64 matrix, mod p, as in the top field.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ from .errors import (
     NotPrime,
     OrderTooLarge,
     OutOfRange,
+    over_order_guard,
+    show_int,
 )
 
 
@@ -192,22 +198,31 @@ class FieldTower:
         coords = np.arange(q)[:, None] // index_place % p
         embed = (coords @ powers[:e] % p @ place).astype(np.int64).tolist()
         index = {v: i for i, v in enumerate(embed)}
-        power_index = np.array([index[v] for v in (powers[: q - 1] @ place).astype(np.int64).tolist()])
-        log = np.zeros(q, dtype=np.int64)
+        power_index = np.array([index[v] for v in (powers[: q - 1] @ place).astype(np.int64).tolist()], dtype=np.int32)
+        log = np.zeros(q, dtype=np.int32)
         log[power_index] = np.arange(q - 1)
-        q_mul = power_index[(log[:, None] + log) % (q - 1)]
+        # the q x q tables are built in int32 with at most one q x q temporary (4 bytes per entry);
+        # q_mul reads omega^(log a + log b) off the powers listed twice, so the sum needs no reduction
+        q_mul = np.concatenate([power_index, power_index])[np.add.outer(log, log)]
         q_mul[0], q_mul[:, 0] = 0, 0
         q_inv = power_index[-log % (q - 1)]
         q_inv[0] = 0
-        q_add = sum((coords[:, None, i] + coords[:, i]) % p * index_place[i] for i in range(e))
+        # digit-wise sums over p^j indices, one digit at a time: index a = a_0 + p * a_high
+        q_add = np.zeros((1, 1), dtype=np.int32)
+        low = np.add.outer(np.arange(p, dtype=np.int32), np.arange(p, dtype=np.int32)) % p
+        while len(q_add) < q:
+            size = len(q_add) * p
+            wider = np.empty((size, size), dtype=np.int32)
+            np.add(q_add[:, None, :, None] * p, low[None, :, None, :], out=wider.reshape(len(q_add), p, len(q_add), p))
+            q_add = wider
 
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "subfield_to_tower", tuple(embed))
         object.__setattr__(self, "tower_to_subfield", index)
-        object.__setattr__(self, "q_add", q_add.astype(np.int32))
-        object.__setattr__(self, "q_mul", q_mul.astype(np.int32))
-        object.__setattr__(self, "q_inv", q_inv.astype(np.int32))
+        object.__setattr__(self, "q_add", q_add)
+        object.__setattr__(self, "q_mul", q_mul)
+        object.__setattr__(self, "q_inv", q_inv)
         object.__setattr__(self, "q_neg", (-coords % p @ index_place).astype(np.int32))
 
     # -- top-field element ops (integers in [0, order)) --------------------
@@ -281,16 +296,24 @@ class FieldTower:
         return self.project_subfield(self.pow(self.embed_subfield(idx), k))
 
 
+def check_tower_order(base: int, exp: int) -> None:
+    """OrderTooLarge when a top field of order base^exp would exceed ORDER_GUARD.
+
+    Callers check it before decomposing base: trial division of a huge prime takes sqrt(base) steps.
+    """
+    if over_order_guard(base, exp):
+        raise OrderTooLarge(f"field order {show_int(base)}^{exp} exceeds the guard {ORDER_GUARD}")
+
+
 @lru_cache(maxsize=None)
 def build_tower(p: int, e: int, m: int) -> FieldTower:
     """Construct the tower GF(p) < GF(p^e) < GF(p^(e*m)): its modulus and the GF(q) tables."""
-    if prime_power(p)[1] != 1:
-        raise NotPrime(f"{p} is not prime")
     if e < 1 or m < 1:
         raise OutOfRange(f"need e >= 1 and m >= 1, got e={e}, m={m}")
     d = e * m
-    if d >= ORDER_GUARD.bit_length() or p**d > ORDER_GUARD:  # p^d >= 2^d: a long exponent is over the guard without forming p^d
-        raise OrderTooLarge(f"p^(e*m) = {p}^{d} exceeds the guard {ORDER_GUARD}")
+    check_tower_order(p, d)
+    if prime_power(p)[1] != 1:
+        raise NotPrime(f"{p} is not prime")
     q = p**e
     if q > SUBFIELD_GUARD:
         raise OrderTooLarge(f"q = {q} exceeds the subfield guard {SUBFIELD_GUARD} of the q x q tables")
@@ -313,6 +336,7 @@ _TOWER_LOCK = threading.Lock()  # threads that miss tower_for together build onc
 @lru_cache(maxsize=None)
 def tower_for(q: int, m: int) -> FieldTower:
     """Tower whose subfield is GF(q) and whose top field is GF(q^m)."""
+    check_tower_order(q, m)
     p, e = prime_power(q)
     with _TOWER_LOCK:
         return build_tower(p, e, m)
@@ -440,6 +464,66 @@ def poly_eval(t: FieldTower, f: Polynomial, x: int) -> int:
 
 def xn_minus_one(t: FieldTower, n: int) -> Polynomial:
     return Polynomial((t.q_neg.item(1),) + (0,) * (n - 1) + (1,))
+
+
+# xn_minus_one_over's blocks: a block's fixed numpy overhead costs about as much as building
+# 128 entries of its digit matrix per term (timed on the family points of the verify grids),
+# and one block's matrix holds at most 2^18 entries
+_BLOCK_BALANCE = 128
+_BLOCK_ENTRIES = 1 << 18
+
+
+def xn_minus_one_over(t: FieldTower, n: int, h: Polynomial) -> Polynomial:
+    """(x^n - 1)/h for h dividing x^n - 1; NotADivisor otherwise.
+
+    With k = deg h the quotient is -u_0, ..., -u_(n-k), where u = 1/h is a
+    power series.  u is a linear recurring sequence of order k whose
+    characteristic polynomial is P = rev(h)/h_0, so the B terms after any k
+    consecutive ones are those k terms times the k x B matrix whose column r
+    is x^(k+r) mod P.  That matrix is expanded to GF(p) digits, each entry a
+    becoming the e x e matrix of multiplication by a, and every block of B
+    terms is one row-matrix product mod p.  Its sums stay below
+    k*e*(p-1)^2, so it is exact in float32 while that is below 2^24 and in
+    float64 for any k < 2^29 with q <= SUBFIELD_GUARD.  B is about 2 sqrt(n)
+    while k*e^2 is small and shrinks as it grows: the n*k*e^2 products cost
+    the same at any B, but the matrix costs k*e^2 entries per term of a
+    block.  h divides x^n - 1 exactly when u repeats with period n, that is
+    when u_(n-k+1), ..., u_n equal u_(1-k), ..., u_0 (k - 1 zeros, then
+    1/h_0).
+    """
+    if h.is_zero():
+        raise ModByZero("division by the zero polynomial")
+    k = len(h.coeffs) - 1
+    if h.coeffs[0] == 0 or k > n:
+        raise NotADivisor(f"a polynomial of degree {k} does not divide x^{n} - 1")
+    h0_inv = t.q_inv.item(h.coeffs[0])
+    if k == 0:
+        return Polynomial((t.q_neg.item(h0_inv),) + (0,) * (n - 1) + (h0_inv,))
+    p, e = t.p, t.e
+    per_term = k * e * e  # matrix entries per term of a block
+    block = max(1, min(math.isqrt(4 * n * _BLOCK_BALANCE // (_BLOCK_BALANCE + per_term)), _BLOCK_ENTRIES // per_term))
+    dtype = np.float32 if k * e * (p - 1) ** 2 < 1 << 24 else np.float64
+    # rows[r, 1:] is x^(k+r) mod P after a zero column, so rows[r, :-1] is x times it with the top
+    # coefficient c = rows[r, k] dropped, and c folds back as c * (x^k mod P)
+    xk = t.q_neg[t.q_mul[h0_inv, list(h.coeffs[:0:-1])]]
+    by_top = t.q_mul[:, xk]
+    rows = np.zeros((block, k + 1), dtype=np.int32)
+    rows[0, 1:] = xk
+    for r in range(1, block):
+        rows[r, 1:] = t.q_add[rows[r - 1, :-1], by_top[rows.item(r - 1, k)]]
+    place = p ** np.arange(e)
+    coords = np.arange(t.q)[:, None] // place % p  # digit row of each GF(q) index
+    by_index = coords[t.q_mul[:, place]].astype(dtype)  # e x e matrix of multiplication by each index
+    weights = by_index[rows[:, 1:].T].transpose(0, 2, 1, 3).reshape(k * e, block * e)
+    coords = coords.astype(dtype)
+    # seq[k - 1 + i] = u_i from i = 1 - k on: k - 1 zeros, then u_0 = 1/h_0
+    seq = np.zeros(k + block * -(-n // block), dtype=np.int32)
+    seq[k - 1] = h0_inv
+    for i in range(k, k + n, block):
+        seq[i : i + block] = ((coords[seq[i - k : i]].ravel() @ weights).astype(np.int64) % p).reshape(block, e) @ place
+    if not np.array_equal(seq[n : n + k], seq[:k]):
+        raise NotADivisor(f"a polynomial of degree {k} does not divide x^{n} - 1")
+    return Polynomial(tuple(t.q_neg[seq[k - 1 : n]].tolist()))
 
 
 def minimal_polynomial(t: FieldTower, n: int, i: int) -> Polynomial:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import bch, cosets, distance, gf
-from .errors import ORDER_GUARD, GridTooLarge, UnknownClaim, UsageError
+from .errors import ORDER_GUARD, GridTooLarge, NotPrime, UnknownClaim, UsageError, over_order_guard, show_int
 
 # default parameter grids (pairs (q, m)); larger m only where sieves stay cheap
 PLUS_PAIRS = ((2, 4), (2, 6), (2, 8), (3, 4), (3, 6), (3, 8), (4, 4), (4, 6), (5, 4), (5, 6), (7, 4), (7, 6))
@@ -79,17 +79,21 @@ def _flag(params: dict, expected, observed, note: str) -> dict:
 
 
 def _pair_ok(q: int, m: int, kind: str) -> bool:
+    if kind == "plus":
+        ok = m >= 4 and m % 2 == 0
+    elif kind == "minus":
+        ok = q >= 3 and m >= 4
+    elif kind == "q-only":
+        ok = m == 4
+    else:
+        ok = m >= 4  # qm1: the closed forms are stated for m >= 4 (at m = 3 the third one is wrong)
+    if not ok or over_order_guard(q, m):
+        return ok  # a pair over the guard is refused in _pairs_for, before any trial division of a huge q
     try:
         gf.prime_power(q)
-    except Exception:
+    except NotPrime:
         return False
-    if kind == "plus":
-        return m >= 4 and m % 2 == 0
-    if kind == "minus":
-        return q >= 3 and m >= 4
-    if kind == "q-only":
-        return m == 4
-    return m >= 4  # qm1: the closed forms are stated for m >= 4 (at m = 3 the third one is wrong)
+    return True
 
 
 def _pairs_for(claim: Claim, grid: dict | None) -> tuple:
@@ -111,8 +115,8 @@ def _pairs_for(claim: Claim, grid: dict | None) -> tuple:
         ms = tuple(sorted({m for _, m in base}))
     pairs = tuple((q, m) for q in qs for m in ms if _pair_ok(q, m, claim.kind))
     for q, m in pairs:
-        if q**m > ORDER_GUARD:
-            raise GridTooLarge(f"q^m = {q}^{m} exceeds the table-size guard {ORDER_GUARD}")
+        if over_order_guard(q, m):
+            raise GridTooLarge(f"q^m = {show_int(q)}^{m} exceeds the table-size guard {ORDER_GUARD}")
     return pairs
 
 

@@ -286,14 +286,35 @@ GIANT = ["--q", "3", "--m", "10000"]  # 3^10000 has 4,772 digits, past the 4,300
         ["cosets", *GIANT, "--family", "minus", "--top", "1"],  # cosets.family_length
         ["dually-bch", *GIANT, "--family", "minus", "--delta", "1"],  # cosets.family_length
         ["cosets", *GIANT, "--family", "minus", "--coset", "-1"],  # cosets.family_length
-        ["code", *GIANT, "--family", "raw", "--n", "4", "--delta", "2"],  # gf.build_tower
-        ["code", *GIANT, "--family", "raw", "--n", "7", "--delta", "2"],  # bch.build_family_code, 7 does not divide 3^10000 - 1
+        ["code", *GIANT, "--family", "raw", "--n", "4", "--delta", "2"],  # gf.check_tower_order
+        ["code", *GIANT, "--family", "raw", "--n", "7", "--delta", "2"],  # gf.check_tower_order, before bch.build_family_code tests n | 3^10000 - 1
     ],
 )
 def test_giant_m_is_one_error_line(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1 and not out
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+HUGE_PRIME = "100000000000000000039"  # a prime near 10^20: trial division to its square root would take hours
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dually-bch", "--q", HUGE_PRIME, "--m", "4", "--family", "plus", "--delta", "3"],  # family n over the guard
+        ["dually-bch", "--q", HUGE_PRIME, "--m", "4", "--family", "plus", "--sweep"],
+        ["code", "--q", HUGE_PRIME, "--m", "4", "--family", "plus", "--delta", "3"],  # tower order over the guard
+        ["dual", "--q", HUGE_PRIME, "--m", "4", "--family", "raw", "--n", "5", "--delta", "3"],
+        ["verify", "--claim", "CLM-T1", "--grid", f"q={HUGE_PRIME},m=4"],  # grid point over the guard
+    ],
+)
+def test_huge_prime_q_is_refused_before_it_is_decomposed(capsys, argv):
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert rc == 1 and not out
+    assert err.startswith("error: ") and "exceeds the" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("q", ["8191", "1000003"])

@@ -7,6 +7,7 @@ degrees, Frobenius stability).
 """
 
 import functools
+import itertools
 import math
 import random
 import time
@@ -100,6 +101,19 @@ def test_subfield_guard():
         gf.build_tower(8191, 1, 1)
     with pytest.raises(OrderTooLarge, match="q = 8192"):
         gf.build_tower(2, 13, 1)  # 2^13 is under ORDER_GUARD, but its q x q tables are not built
+
+
+@pytest.mark.parametrize("pem", [(2, 10, 1), (3, 6, 1), (31, 2, 1)])
+def test_subfield_tables_peak_near_twelve_bytes_per_entry(pem):
+    # two int32 q x q tables and at most one q x q int32 temporary; int64 temporaries would peak past 24 bytes per entry
+    tracemalloc.start()
+    try:
+        t = gf.build_tower.__wrapped__(*pem)  # uncached, so the build happens here
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.q_add.dtype == t.q_mul.dtype == np.int32
+    assert peak < 13 * t.q**2
 
 
 def test_field_arithmetic_examples():
@@ -485,7 +499,7 @@ def test_poly_mul_matches_scalar_loop(pem, data):
     assert all(type(c) is int for c in prod.coeffs)
 
 
-@pytest.mark.parametrize("q,m,n", [(2, 6, 21), (3, 4, 20), (3, 4, 40), (4, 4, 51), (5, 4, 104)])
+@pytest.mark.parametrize("q,m,n", [(2, 6, 21), (3, 4, 20), (3, 4, 40), (4, 4, 51), (5, 4, 104), (4, 3, 63), (8, 2, 21), (8, 2, 63), (9, 2, 40)])
 def test_poly_divmod_matches_scalar_loop_on_complement_route(q, m, n):
     # every distinct defining set (b in {0, 1}, every delta) whose generator divides x^n - 1 by the complement
     t = gf.tower_for(q, m)
@@ -502,3 +516,87 @@ def test_poly_divmod_matches_scalar_loop_on_complement_route(q, m, n):
         assert bch.generator_polynomial(t, ds) == quot
         routed += 1
     assert routed > 0
+
+
+def _narrow_sense_complements(q, m, family, ks):
+    """{k: h} for the narrow-sense codes of the family whose complement side h has degree k in ks.
+
+    The complement of T = C_1 | ... | C_(delta-1) is C_0 and every coset with leader >= delta, so h
+    grows from x - 1 by one minimal polynomial per leader, from the top leader down.
+    """
+    n = cosets.family_length(q, m, family)
+    t = gf.tower_for(q, m)
+    h, out = gf.Polynomial((t.q_neg.item(1), 1)), {}
+    for lead in np.unique(cosets.leader_map(q, n))[:0:-1].tolist():
+        if h.degree in ks:
+            out[h.degree] = h
+        if h.degree >= max(ks):
+            break
+        h = gf.poly_mul(t, h, gf.minimal_polynomial(t, n, lead))
+    return t, n, out
+
+
+@pytest.mark.parametrize(
+    "q,m,family,sizes,count",
+    [
+        (8, 4, "minus", range(1, 293), 75),  # n = 585 over GF(8), e = 3: all 75 sizes with k < n - k (blocks of at most 46 terms)
+        (7, 6, "plus", (1, 4, 10, 13, 19, 20, 26, 29, 32, 38, 643, 7302), 12),  # n = 14706: the ten smallest of 1269 sizes, then up to n/2
+    ],
+)
+def test_xn_minus_one_over_matches_poly_divmod(q, m, family, sizes, count):
+    t, n, hs = _narrow_sense_complements(q, m, family, set(sizes))
+    assert len(hs) == count
+    xn1 = gf.xn_minus_one(t, n)
+    for k, h in hs.items():
+        quot, rem = gf.poly_divmod(t, xn1, h)
+        assert rem.is_zero()
+        assert gf.xn_minus_one_over(t, n, h) == quot, k
+
+
+@pytest.mark.parametrize("k", [3, 40])
+def test_xn_minus_one_over_at_a_large_prime(k):
+    # over GF(2053) the sums stay below k * 2052^2: under 2^24 at k = 3 (float32); at k = 40 they run near
+    # 40 * 1026^2 > 2^24, where float32 would round (float64)
+    t, n = gf.tower_for(2053, 1), 513
+    h = bch._minpoly_product(t, n, cosets.coset_leaders(2053, n)[1 : k + 1])
+    assert h.degree == k
+    assert (gf.xn_minus_one_over(t, n, h), gf.Polynomial(())) == gf.poly_divmod(t, gf.xn_minus_one(t, n), h)
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 2, 3), (4, 1, 3), (8, 2, 9), (9, 2, 8), (3, 2, 4)])
+def test_xn_minus_one_over_every_divisor_of_a_short_xn_minus_one(q, m, n):
+    # every product of minimal polynomials of a subset of the cosets (k = 0 for the empty one), each times every
+    # nonzero scalar; at (4, 1, 3), x - 1 fills exactly one block of 3 terms
+    t = gf.tower_for(q, m)
+    leaders = cosets.coset_leaders(q, n)
+    xn1 = gf.xn_minus_one(t, n)
+    for size in range(len(leaders) + 1):
+        for subset in itertools.combinations(leaders, size):
+            h = bch._minpoly_product(t, n, subset)
+            for c in range(1, q):
+                scaled = gf.Polynomial(tuple(t.q_mul[c, list(h.coeffs)].tolist()))
+                assert (gf.xn_minus_one_over(t, n, scaled), gf.Polynomial(())) == gf.poly_divmod(t, xn1, scaled)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(AXIOM_TOWERS), st.data())
+def test_xn_minus_one_over_raises_for_a_non_divisor(pem, data):
+    t = gf.build_tower(*pem)
+    n = data.draw(st.integers(1, 40), label="n")
+    coeff = st.integers(0, t.q - 1)
+    h = gf.Polynomial(tuple(data.draw(st.lists(coeff, max_size=6), label="h")) + (data.draw(st.integers(1, t.q - 1), label="lead"),))
+    quot, rem = gf.poly_divmod(t, gf.xn_minus_one(t, n), h)
+    if rem.is_zero():
+        assert gf.xn_minus_one_over(t, n, h) == quot
+    else:
+        with pytest.raises(NotADivisor):
+            gf.xn_minus_one_over(t, n, h)
+
+
+def test_xn_minus_one_over_rejects_non_divisors():
+    t = gf.tower_for(2, 6)
+    for h in [gf.Polynomial((1, 0, 1)), gf.Polynomial((0, 1)), gf.Polynomial((1,) * 23), gf.Polynomial((1, 1, 0, 1, 1))]:
+        with pytest.raises(NotADivisor):
+            gf.xn_minus_one_over(t, 21, h)  # (x + 1)^2, x, degree 22 > n, and x^4 + x^3 + x + 1 = (x + 1)^2 (x^2 + x + 1)
+    with pytest.raises(ModByZero):
+        gf.xn_minus_one_over(t, 21, gf.Polynomial(()))
