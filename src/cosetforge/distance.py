@@ -6,15 +6,23 @@ the row x^0 g touches c_0, so enumeration visits just the q^(k-1) words
 with u_0 = g_0^-1.  Their weight histogram N_w gives the minimum distance
 (the first w >= 1 with N_w > 0) and A_w = n (q-1) N_w / w.
 
+A word is zero at position i exactly when u . G_i = 0 for the column G_i
+of the k x n matrix [base; x g; ...; x^(k-1) g], and scaling G_i by a
+nonzero constant does not change that.  So the columns are grouped into D
+<= n projective classes, each normalised to first nonzero entry 1 and
+weighted by its multiplicity (MacWilliams & Sloane, ch. 1).  The
+[14706, 6] dual over GF(7), say, has D = 2451, each class q - 1 columns.
+
 Words are counted in pairs (meet in the middle): q^a left words from the
 c_0 = 1 row against q^b right words, shifted by each combination of the
-remaining rows.  x + y is zero where x_i = -y_i, so per block of positions
-one product of the float32 one-hot matrices [x_i = v] and [-y_i = v]
-(v < q) counts those positions for all q^a x q^b pairs, and a weight is n
-minus their sum over blocks.  Every partial sum of an entry is an integer
-at most the block width (< 2^24), so exact in float32 in any order, and
-the float64 sum over blocks is exact (n < 2^53).  One cap bounds q^(a+b)
-and each one-hot block (at least one position wide).
+remaining rows.  x + y is zero where x_i = -y_i, so per block of classes
+one product of the one-hot matrices [x_i = v] and mult_i [-y_i = v]
+(v < q) sums the multiplicities of those classes for all q^a x q^b pairs,
+and a weight is n minus their sum over blocks.  Every partial sum of an
+entry is an integer at most the total multiplicity n, so float32 is exact
+in any order while n < 2^24 and float64 is used from there; the float64
+sum over blocks is exact (n < 2^53).  One cap bounds q^(a+b) and each
+one-hot block (at least one class wide).
 
 The MacWilliams transform runs the three-term Krawtchouk recurrence
 (MacWilliams & Sloane, ch. 5).  `route` is the one budget policy: direct
@@ -35,7 +43,7 @@ from .errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntege
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "COSETFORGE_BUDGET"
 
-_TABLE_ENTRIES = 1 << 17  # cap on the word pairs of one product and the entries of one one-hot block
+_TABLE_ENTRIES = 1 << 17  # cap on the word pairs of one product, the entries of one one-hot block and the positions keyed at once
 
 
 def effective_budget(budget: int | None = None) -> int:
@@ -80,6 +88,95 @@ def _span(add: np.ndarray, mul: np.ndarray, start: np.ndarray, rows: np.ndarray)
     return table
 
 
+def _key(rows, q: int, dtype) -> np.ndarray:
+    """Each column of rows read as a base-q integer, the first row most significant."""
+    key = np.zeros(len(rows[0]), dtype=dtype)
+    for r in rows:
+        key *= q
+        key += r
+    return key
+
+
+def _projective_classes(t: gf.FieldTower, code) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the k x n matrix [base; x g; ...; x^(k-1) g] up to GF(q)* scaling.
+
+    Returns the k x D class columns, each with first nonzero entry 1, and
+    their multiplicities (which sum to n).  Equal columns of [g; ...;
+    x^(k-1) g] are counted first, by their base-q key, a block of positions
+    at a time; only those distinct columns are then scaled to the base row,
+    normalised and merged.
+    """
+    q, n, k = t.q, code.n, code.dimension
+    dt = np.min_scalar_type(q - 1)
+    kt = np.min_scalar_type(q**k)
+    mul = np.asarray(t.q_mul, dtype=dt)
+    inv = np.asarray(t.q_inv, dtype=dt)
+    coeffs = code.genpoly.coeffs
+    g = np.zeros(n + k - 1, dtype=dt)  # g[k-1 + i - j] = g_(i-j), the entry of x^j g at position i (0 for i < j)
+    g[k - 1 : k - 1 + len(coeffs)] = np.fromiter(coeffs, dtype=dt, count=len(coeffs))
+    assert g[k - 1], "the generator of a cyclic code has g_0 != 0"
+    by_count = q**k <= n  # a bincount over the q^k keys, else a sort of the n keys
+    counts = np.zeros(q**k if by_count else 0, dtype=np.int64)
+    keys = np.empty(0 if by_count else n, dtype=kt)
+    step = max(1, _TABLE_ENTRIES)
+    for i in range(0, n, step):
+        key = _key([g[k - 1 + i - j : k - 1 + min(i + step, n) - j] for j in range(k)], q, kt)
+        if by_count:
+            counts += np.bincount(key, minlength=q**k)
+        else:
+            keys[i : i + step] = key
+    if by_count:
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        keys, counts = np.unique(keys, return_counts=True)
+    cols = np.empty((k, len(keys)), dtype=dt)
+    for j in range(k - 1, -1, -1):
+        keys, cols[j] = np.divmod(keys, q)
+    cols[0] = mul[inv[g[k - 1]], cols[0]]  # u_0 = g_0^-1, so c_0 = 1
+    lead = np.zeros(cols.shape[1], dtype=dt)
+    for r in cols[::-1]:
+        lead = np.where(r != 0, inv[r], lead)  # ends at the inverse of the first nonzero entry
+    cols = mul[lead, cols]
+    _, first, cls = np.unique(_key(cols, q, kt), return_index=True, return_inverse=True)
+    mult = np.zeros(len(first), dtype=np.int64)
+    np.add.at(mult, cls, counts)
+    return cols[:, first], mult
+
+
+def _class_zeros(t: gf.FieldTower, cols: np.ndarray, mult: np.ndarray):
+    """Per lead combination, the q^a x q^b sums of mult over the classes where left + right word is zero."""
+    q, (k, d) = t.q, cols.shape
+    dt = cols.dtype
+    add = np.asarray(t.q_add, dtype=dt)
+    mul = np.asarray(t.q_mul, dtype=dt)
+    base, rows = cols[0], cols[1:]
+    s = min(k - 1, next(r for r in itertools.count() if q ** (r + 1) > _TABLE_ENTRIES))  # q^s word pairs per product
+    a, b = (s + 1) // 2, s // 2
+    width = max(1, _TABLE_ENTRIES // q ** (a + 1))  # classes per one-hot block of the q^a left words
+    ft = np.float32 if int(mult.sum()) < 1 << 24 else np.float64  # a partial sum is at most the total multiplicity
+    one_hot = np.eye(q, dtype=ft)  # row v: [v == 0], ..., [v == q-1]
+    neg_hot = one_hot[t.q_neg]  # row v: the one-hot of -v
+    weight = mult.astype(ft)[:, None, None]
+    offset = q * np.arange(min(width, d))
+    repeats = mult.max() > 1  # else every weight is 1 and the plain one-hot serves
+    for scalars in itertools.product(range(q), repeat=k - 1 - s):
+        word = np.zeros(d, dtype=dt)
+        for c, r in zip(scalars, rows[s:]):
+            word = add[word, mul[c, r]]
+        eq = np.zeros((q**a, q**b))  # multiplicities of the classes where the left word = -the right word
+        for i in range(0, d, width):
+            j = slice(i, i + width)
+            lhs = np.take(one_hot, _span(add, mul, base[j], rows[:a, j]), axis=0)
+            right = _span(add, mul, word[j], rows[a:s, j])
+            if repeats:  # row q c + v of the table: mult_c times the one-hot of -v
+                rhs = np.take((weight[j] * neg_hot).reshape(-1, q), right + offset[: right.shape[1]], axis=0)
+            else:
+                rhs = np.take(neg_hot, right, axis=0)
+            eq += lhs.reshape(q**a, -1) @ rhs.reshape(q**b, -1).T
+        yield eq
+
+
 def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
     """N_0..N_n, the codewords with c_0 = 1 by weight (none when k = 0)."""
     q, n, k = t.q, code.n, code.dimension
@@ -88,29 +185,10 @@ def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
     hist = np.zeros(n + 1, dtype=np.int64)
     if k == 0:
         return hist
-    dt = np.min_scalar_type(q - 1)
-    add = np.asarray(t.q_add, dtype=dt)
-    mul = np.asarray(t.q_mul, dtype=dt)
-    g = np.zeros(n, dtype=dt)
-    g[: len(code.genpoly.coeffs)] = code.genpoly.coeffs
-    assert g[0], "the generator of a cyclic code has g_0 != 0"
-    base = mul[t.q_inv[g[0]], g]  # u_0 = g_0^-1, so c_0 = 1
-    rows = np.array([np.roll(g, j) for j in range(1, k)], dtype=dt).reshape(k - 1, n)  # x^j g, zero at position 0
-    s = min(k - 1, next(r for r in itertools.count() if q ** (r + 1) > _TABLE_ENTRIES))  # q^s word pairs per product
-    a, b = (s + 1) // 2, s // 2
-    width = max(1, _TABLE_ENTRIES // q ** (a + 1))  # positions per one-hot block of the q^a left words
-    one_hot = np.eye(q, dtype=np.float32)  # row v: [v == 0], ..., [v == q-1]
-    neg_hot = one_hot[t.q_neg]  # row v: the one-hot of -v
-    for scalars in itertools.product(range(q), repeat=k - 1 - s):
-        word = np.zeros(n, dtype=dt)
-        for c, r in zip(scalars, rows[s:]):
-            word = add[word, mul[c, r]]
-        eq = np.zeros((q**a, q**b))  # positions where the left word = -the right word
-        for i in range(0, n, width):
-            lhs = np.take(one_hot, _span(add, mul, base[i : i + width], rows[:a, i : i + width]), axis=0)
-            rhs = np.take(neg_hot, _span(add, mul, word[i : i + width], rows[a:s, i : i + width]), axis=0)
-            eq += lhs.reshape(q**a, -1) @ rhs.reshape(q**b, -1).T
+    cols, mult = _projective_classes(t, code)
+    for eq in _class_zeros(t, cols, mult):
         hist += np.bincount(n - eq.astype(np.intp).ravel(), minlength=n + 1)
+    assert hist.sum() == q ** (k - 1), f"{hist.sum()} words counted, not the q^(k-1) = {q ** (k - 1)} with c_0 = 1"
     return hist
 
 

@@ -192,10 +192,55 @@ def test_enumerator_matches_pairwise_oracle(q, m, n, delta, dual):
 
 def test_repetition_code_over_two_ragged_blocks():
     t = gf.tower_for(2, 18)
-    n = cosets.family_length(2, 18, cosets.PLUS)  # 87381 positions, 2^17 / 2 per block
+    n = cosets.family_length(2, 18, cosets.PLUS)  # 87381 positions: two ragged one-hot blocks of 2^16 if counted by position
     code = repetition_code(t, n)
+    cols, mult = distance._projective_classes(t, code)
+    assert cols.tolist() == [[1]] and mult.tolist() == [n]  # every column is (1): one class of multiplicity n
     got = distance._weight_histogram(t, code, distance.DEFAULT_BUDGET)
     assert got.tolist() == pairwise_histogram(t, code).tolist() == [0] * n + [1]
+
+
+# (q, m, n, delta, dual, D): the enumerations of verify --all and code-queries with the most repeated columns
+PROJECTIVE_CLASS_COUNTS = [
+    (7, 6, 14706, 2, True, 2451),  # [14706, 6], CLM-LB1002 at q = 7, m = 6
+    (7, 6, 14706, 12599, False, 342),  # [14706, 4], CLM-T1 at delta1
+    (5, 6, 2604, 2, True, 651),
+    (3, 8, 1640, 2, True, 820),
+    (4, 6, 819, 2, True, 273),
+    (7, 4, 300, 3, True, 300),  # no column repeats
+]
+
+
+@pytest.mark.parametrize("q,m,n,delta,dual,classes", PROJECTIVE_CLASS_COUNTS)
+def test_projective_class_counts(q, m, n, delta, dual, classes):
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, delta)
+    if dual:
+        code = bch.dual_code(t, code)
+    cols, mult = distance._projective_classes(t, code)
+    assert cols.shape == (code.dimension, classes) and mult.sum() == n
+
+
+# (q, m, n, delta, dual) at a 512-entry cap: [819, 6] over GF(4) has 273 classes (sort path) in one-hot
+# blocks of 8, the last ragged, and 4 lead combinations; [14706, 4] over GF(7) has 342 classes (bincount
+# path) one per block; both key their positions in ragged blocks of 512
+@pytest.mark.parametrize("q,m,n,delta,dual", [(4, 6, 819, 2, True), (7, 6, 14706, 12599, False)])
+def test_weighted_classes_over_tiny_blocks_match_pairwise_oracle(q, m, n, delta, dual, monkeypatch):
+    monkeypatch.setattr(distance, "_TABLE_ENTRIES", 512)
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, delta)
+    if dual:
+        code = bch.dual_code(t, code)
+    got = distance._weight_histogram(t, code, distance.DEFAULT_BUDGET)
+    assert got.tolist() == pairwise_histogram(t, code).tolist()
+
+
+def test_class_multiplicity_past_float32_is_exact():
+    t = gf.tower_for(2, 1)
+    cols = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)  # the three points of the projective line over GF(2)
+    mult = np.array([1, 2**24 + 1, 3])  # float32 holds 2^24 + 1 as 2^24
+    (eq,) = distance._class_zeros(t, cols, mult)  # left words (1, 0) and (1, 1) against the zero word
+    assert eq.ravel().tolist() == [2**24 + 1, 3]
 
 
 def test_every_default_grid_enumeration_matches_pairwise_oracle(monkeypatch):
@@ -270,6 +315,38 @@ def test_macwilliams_involution_property(tower, data):
     other = distance.macwilliams_transform(w, q, k_dual=n - side.dimension)
     assert other.counts[0] == 1 and sum(other.counts) == q ** (n - side.dimension)
     assert distance.macwilliams_transform(other, q, k_dual=side.dimension).counts == w.counts
+
+
+def generator_matrix(t, code):
+    """The k x n rows [g_0^-1 g; x g; ...; x^(k-1) g] whose combinations with u_0 = 1 the engine visits."""
+    g = np.zeros(code.n, dtype=np.int64)
+    g[: len(code.genpoly.coeffs)] = code.genpoly.coeffs
+    rows = [np.roll(g, j) for j in range(code.dimension)]
+    rows[0] = t.q_mul[t.q_inv[g[0]], g]
+    return np.array(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_TOWERS), st.data())
+def test_projective_classes_property(tower, data):
+    q, m, n = tower
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, data.draw(st.integers(2, n), label="delta"))
+    side = code if code.dimension <= n - code.dimension else bch.dual_code(t, code)
+    if q**side.dimension > 3**7:  # keep the scalar oracle quick
+        side = bch.dual_code(t, bch.bch_code(t, n, 2))
+    cols, mult = distance._projective_classes(t, side)
+    assert mult.sum() == n and (mult > 0).all()
+    assert len(set(map(tuple, cols.T.tolist()))) == cols.shape[1]
+    assert all(next(x for x in col if x) == 1 for col in cols.T.tolist())  # first nonzero entry 1
+    seen = [0] * cols.shape[1]
+    index = {c: i for i, c in enumerate(map(tuple, cols.T.tolist()))}
+    for col in generator_matrix(t, side).T:
+        multiples = {tuple(int(t.q_mul[s, x]) for x in col) for s in range(1, q)}  # col times GF(q)*
+        (hit,) = multiples & index.keys()
+        seen[index[hit]] += 1
+    assert seen == mult.tolist()
+    assert list(distance.weight_enumerator(t, side).counts) == naive_weights(t, side)
 
 
 def test_macwilliams_rejects_garbage():
