@@ -43,7 +43,8 @@ from .errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntege
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "COSETFORGE_BUDGET"
 
-_TABLE_ENTRIES = 1 << 17  # cap on the word pairs of one product, the entries of one one-hot block and the positions keyed at once
+_TABLE_ENTRIES = 1 << 17  # cap on the word pairs of one product and the entries of one one-hot block
+_KEY_BLOCK = 1 << 17  # generator columns keyed at once
 
 
 def effective_budget(budget: int | None = None) -> int:
@@ -83,8 +84,8 @@ class DistanceResult:
 def _span(add: np.ndarray, mul: np.ndarray, start: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """start + every GF(q) combination of rows, one word per row of a q^len(rows) x len(start) table."""
     table = start[None, :]
-    for r in rows:
-        table = add[table[None, :, :], mul[:, r][:, None, :]].reshape(-1, len(start))
+    for r in rows:  # np.take keeps c r (c < q) in C order, and so the table: np.take copies other index layouts
+        table = add[table[None, :, :], np.take(mul, r, axis=1)[:, None, :]].reshape(-1, len(start))
     return table
 
 
@@ -97,14 +98,23 @@ def _key(rows, q: int, dtype) -> np.ndarray:
     return key
 
 
+def _decode(keys: np.ndarray, q: int, k: int, dtype) -> np.ndarray:
+    """The k x len(keys) columns whose `_key`s are keys."""
+    cols = np.empty((k, len(keys)), dtype=dtype)
+    for j in range(k - 1, -1, -1):
+        keys, cols[j] = np.divmod(keys, q)
+    return cols
+
+
 def _projective_classes(t: gf.FieldTower, code) -> tuple[np.ndarray, np.ndarray]:
     """Columns of the k x n matrix [base; x g; ...; x^(k-1) g] up to GF(q)* scaling.
 
     Returns the k x D class columns, each with first nonzero entry 1, and
-    their multiplicities (which sum to n).  Equal columns of [g; ...;
-    x^(k-1) g] are counted first, by their base-q key, a block of positions
-    at a time; only those distinct columns are then scaled to the base row,
-    normalised and merged.
+    their multiplicities (which sum to n).  The columns of [g; ...;
+    x^(k-1) g] are read as base-q keys a block of positions at a time.
+    When q^k <= n the keys are bincounted and only the distinct columns are
+    then normalised and merged; otherwise every column is normalised and
+    the n keys are sorted.
     """
     q, n, k = t.q, code.n, code.dimension
     dt = np.min_scalar_type(q - 1)
@@ -115,37 +125,38 @@ def _projective_classes(t: gf.FieldTower, code) -> tuple[np.ndarray, np.ndarray]
     g = np.zeros(n + k - 1, dtype=dt)  # g[k-1 + i - j] = g_(i-j), the entry of x^j g at position i (0 for i < j)
     g[k - 1 : k - 1 + len(coeffs)] = np.fromiter(coeffs, dtype=dt, count=len(coeffs))
     assert g[k - 1], "the generator of a cyclic code has g_0 != 0"
-    by_count = q**k <= n  # a bincount over the q^k keys, else a sort of the n keys
+
+    def class_keys(cols):  # the keys of the columns scaled to the base row, then to first nonzero entry 1
+        cols[0] = mul[inv[g[k - 1]], cols[0]]  # u_0 = g_0^-1, so c_0 = 1
+        lead = np.zeros(cols.shape[1], dtype=dt)
+        for r in cols[::-1]:
+            lead = np.where(r != 0, inv[r], lead)  # ends at the inverse of the first nonzero entry
+        return _key(mul[lead, cols], q, kt)
+
+    by_count = q**k <= n
     counts = np.zeros(q**k if by_count else 0, dtype=np.int64)
     keys = np.empty(0 if by_count else n, dtype=kt)
-    step = max(1, _TABLE_ENTRIES)
-    for i in range(0, n, step):
-        key = _key([g[k - 1 + i - j : k - 1 + min(i + step, n) - j] for j in range(k)], q, kt)
+    for i in range(0, n, _KEY_BLOCK):
+        cols = np.array([g[k - 1 + i - j : k - 1 + min(i + _KEY_BLOCK, n) - j] for j in range(k)])
         if by_count:
-            counts += np.bincount(key, minlength=q**k)
+            counts += np.bincount(_key(cols, q, kt), minlength=q**k)
         else:
-            keys[i : i + step] = key
+            keys[i : i + _KEY_BLOCK] = class_keys(cols)
     if by_count:
         keys = np.flatnonzero(counts)
-        counts = counts[keys]
+        merged = np.bincount(class_keys(_decode(keys, q, k, dt)), weights=counts[keys], minlength=q**k)
+        keys = np.flatnonzero(merged)
+        counts = merged[keys].astype(np.int64)  # sums of integers below 2^53, exact in float64
     else:
         keys, counts = np.unique(keys, return_counts=True)
-    cols = np.empty((k, len(keys)), dtype=dt)
-    for j in range(k - 1, -1, -1):
-        keys, cols[j] = np.divmod(keys, q)
-    cols[0] = mul[inv[g[k - 1]], cols[0]]  # u_0 = g_0^-1, so c_0 = 1
-    lead = np.zeros(cols.shape[1], dtype=dt)
-    for r in cols[::-1]:
-        lead = np.where(r != 0, inv[r], lead)  # ends at the inverse of the first nonzero entry
-    cols = mul[lead, cols]
-    _, first, cls = np.unique(_key(cols, q, kt), return_index=True, return_inverse=True)
-    mult = np.zeros(len(first), dtype=np.int64)
-    np.add.at(mult, cls, counts)
-    return cols[:, first], mult
+    return _decode(keys, q, k, dt), counts
 
 
 def _class_zeros(t: gf.FieldTower, cols: np.ndarray, mult: np.ndarray):
-    """Per lead combination, the q^a x q^b sums of mult over the classes where left + right word is zero."""
+    """Per lead combination, the q^a x q^b sums of mult over the classes where left + right word is zero.
+
+    Every combination refills and yields the same array.
+    """
     q, (k, d) = t.q, cols.shape
     dt = cols.dtype
     add = np.asarray(t.q_add, dtype=dt)
@@ -159,20 +170,17 @@ def _class_zeros(t: gf.FieldTower, cols: np.ndarray, mult: np.ndarray):
     neg_hot = one_hot[t.q_neg]  # row v: the one-hot of -v
     weight = mult.astype(ft)[:, None, None]
     offset = q * np.arange(min(width, d))
-    repeats = mult.max() > 1  # else every weight is 1 and the plain one-hot serves
+    eq = np.empty((q**a, q**b))  # multiplicities of the classes where the left word = -the right word
     for scalars in itertools.product(range(q), repeat=k - 1 - s):
         word = np.zeros(d, dtype=dt)
         for c, r in zip(scalars, rows[s:]):
             word = add[word, mul[c, r]]
-        eq = np.zeros((q**a, q**b))  # multiplicities of the classes where the left word = -the right word
+        eq.fill(0)
         for i in range(0, d, width):
             j = slice(i, i + width)
             lhs = np.take(one_hot, _span(add, mul, base[j], rows[:a, j]), axis=0)
-            right = _span(add, mul, word[j], rows[a:s, j])
-            if repeats:  # row q c + v of the table: mult_c times the one-hot of -v
-                rhs = np.take((weight[j] * neg_hot).reshape(-1, q), right + offset[: right.shape[1]], axis=0)
-            else:
-                rhs = np.take(neg_hot, right, axis=0)
+            table = (weight[j] * neg_hot).reshape(-1, q)  # row q c + v: mult_c times the one-hot of -v, c in the block
+            rhs = np.take(table, _span(add, mul, word[j], rows[a:s, j]) + offset[: len(table) // q], axis=0)
             eq += lhs.reshape(q**a, -1) @ rhs.reshape(q**b, -1).T
         yield eq
 
@@ -187,7 +195,7 @@ def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
         return hist
     cols, mult = _projective_classes(t, code)
     for eq in _class_zeros(t, cols, mult):
-        hist += np.bincount(n - eq.astype(np.intp).ravel(), minlength=n + 1)
+        hist += np.bincount(eq.astype(np.intp).ravel(), minlength=n + 1)[::-1]  # e zeros is weight n - e
     assert hist.sum() == q ** (k - 1), f"{hist.sum()} words counted, not the q^(k-1) = {q ** (k - 1)} with c_0 = 1"
     return hist
 

@@ -223,10 +223,11 @@ def test_projective_class_counts(q, m, n, delta, dual, classes):
 
 # (q, m, n, delta, dual) at a 512-entry cap: [819, 6] over GF(4) has 273 classes (sort path) in one-hot
 # blocks of 8, the last ragged, and 4 lead combinations; [14706, 4] over GF(7) has 342 classes (bincount
-# path) one per block; both key their positions in ragged blocks of 512
+# path) one per block; both key their columns in ragged blocks of 512
 @pytest.mark.parametrize("q,m,n,delta,dual", [(4, 6, 819, 2, True), (7, 6, 14706, 12599, False)])
 def test_weighted_classes_over_tiny_blocks_match_pairwise_oracle(q, m, n, delta, dual, monkeypatch):
     monkeypatch.setattr(distance, "_TABLE_ENTRIES", 512)
+    monkeypatch.setattr(distance, "_KEY_BLOCK", 512)
     t = gf.tower_for(q, m)
     code = bch.bch_code(t, n, delta)
     if dual:
