@@ -11,12 +11,14 @@ runs; ``bch_bound`` is the longest plus one, and ``recognize_bch`` walks
 each run once from its end, anchoring b at coset leaders (and 0) so that
 witnesses are canonical: largest delta, then smallest b.
 A defining set is stored once, as its boolean mask over Z_n (one byte per
-residue) built from ``cosets.leader_map``.  The sweeps read I(delta), the
-least i >= 1 outside T_perp, off the same map: I(delta) is the minimum of
-L[n - v] over 1 <= v <= delta - 1, because the i with n - i in C_v form
-C_{n-v}, whose least member is L[n - v].  ``recognize_bch`` walks its own
-orbits on purpose, as the independent check of the O(n) sweep, and keeps
-their leaders in an int32 array (four bytes per residue).
+residue) built from ``cosets.leader_map``; its source cosets, and a code's
+q, n, dimension and BCH bound, are read off it, never stored beside it.
+The sweeps read I(delta), the least i >= 1 outside T_perp, off the same
+map: I(delta) is the minimum of L[n - v] over 1 <= v <= delta - 1, because
+the i with n - i in C_v form C_{n-v}, whose least member is L[n - v].
+``recognize_bch`` walks its own orbits on purpose, as the independent check
+of the O(n) sweep, and keeps their leaders in an int32 array (four bytes
+per residue).
 """
 
 from __future__ import annotations
@@ -32,16 +34,16 @@ from .errors import DeltaOutOfRange, FamilyConstraint, NotCoprime, OutOfRange, T
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A coset-closed set of exponents modulo n, stored as its mask.
+    """A coset-closed set of exponents modulo n, stored as its mask and nothing else.
 
     ``bits`` takes a length-n boolean array and keeps its bytes, so sets compare
-    and hash by value; ``mask`` is a read-only, zero-copy view of them.
+    and hash by value; ``mask`` is a read-only, zero-copy view of them.  The
+    size, the members and the source cosets are all read off the mask.
     """
 
     q: int
     n: int
     bits: bytes = field(repr=False)
-    source_cosets: tuple[int, ...]  # leaders of the cosets composing the set
 
     def __post_init__(self):
         mask = np.asarray(self.bits, dtype=bool)
@@ -61,6 +63,12 @@ class DefiningSet:
     def exponents(self) -> frozenset[int]:
         """The members as Python ints, for callers outside the package (tens of bytes each)."""
         return frozenset(np.flatnonzero(self.mask).tolist())
+
+    @property
+    def source_cosets(self) -> tuple[int, ...]:
+        """Leaders of the cosets composing the set, ascending: its members with L[x] = x on ``cosets.leader_map``."""
+        lead = cosets.leader_map(self.q, self.n)
+        return tuple(np.flatnonzero(self.mask & (lead == np.arange(self.n, dtype=lead.dtype))).tolist())
 
 
 @dataclass(frozen=True)
@@ -88,34 +96,36 @@ class DuallyBchResult:
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """A cyclic code described by its generator polynomial and root exponents."""
+    """A cyclic code: its defining set T and its generator polynomial; q, n and the dimension n - |T| are T's."""
 
-    q: int
-    n: int
-    genpoly: gf.Polynomial
     defining: DefiningSet
-    dimension: int
+    genpoly: gf.Polynomial
+
+    @property
+    def q(self) -> int:
+        return self.defining.q
+
+    @property
+    def n(self) -> int:
+        return self.defining.n
+
+    @property
+    def dimension(self) -> int:
+        return self.defining.n - self.defining.size
 
 
 @dataclass(frozen=True)
-class BchCode:
-    q: int
+class BchCode(CyclicCode):
+    """A BCH code: the cyclic code of the window b, ..., b + delta - 2, with the tower degree m and family it was built for."""
+
     m: int
     family: str
-    n: int
     b: int
     delta: int
-    defining: DefiningSet
-    genpoly: gf.Polynomial
-    dimension: int
-    bch_bound: int
 
-
-def _make_defining_set(q: int, n: int, mask: np.ndarray) -> DefiningSet:
-    """The set marked by mask; mask must be coset-closed, so it holds its leaders (L[x] = x)."""
-    lead = cosets.leader_map(q, n)
-    sources = np.flatnonzero(mask & (lead == np.arange(n, dtype=lead.dtype)))
-    return DefiningSet(q, n, mask, tuple(sources.tolist()))
+    @property
+    def bch_bound(self) -> int:
+        return bch_bound(self.defining)
 
 
 def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
@@ -127,13 +137,13 @@ def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
     lead = cosets.leader_map(q, n)
     hit = np.zeros(n, dtype=bool)  # hit[v]: the window meets the coset with leader v
     hit[lead[(b % n + np.arange(delta - 1)) % n]] = True
-    return _make_defining_set(q, n, hit[lead])
+    return DefiningSet(q, n, hit[lead])
 
 
 def dual_defining_set(ds: DefiningSet) -> DefiningSet:
     """T_perp = Z_n \\ T^{-1}; coset-closed because T is."""
     cosets.check_table_size(ds.n)
-    return _make_defining_set(ds.q, ds.n, ~np.roll(ds.mask[::-1], 1))  # rolled reversal: x -> (n - x) mod n
+    return DefiningSet(ds.q, ds.n, ~np.roll(ds.mask[::-1], 1))  # rolled reversal: x -> (n - x) mod n
 
 
 def _runs(mask: np.ndarray) -> tuple[list[int], list[int]]:
@@ -178,13 +188,14 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
         return Recognition(is_bch=True, witness=(b, n), c0_anchored=(n - 1) * q % n != n - 1)
 
     runs = _runs(ds.mask)  # before leader_of, so their temporaries never coexist
+    sources = ds.source_cosets
     leader_of = np.full(n, -1, dtype=np.int32)  # leader_of[x]: the source coset walked through x
-    for lead in ds.source_cosets:
+    for lead in sources:
         x = lead
         while leader_of.item(x) != lead:  # unmarked until the orbit closes
             leader_of[x] = lead
             x = x * q % n
-    total = len(ds.source_cosets)
+    total = len(sources)
 
     best: tuple[int, int] | None = None
     c0 = False
@@ -302,7 +313,7 @@ def generator_polynomial(t: gf.FieldTower, ds: DefiningSet) -> gf.Polynomial:
     if ds.size <= k:
         g = _minpoly_product(t, n, ds.source_cosets)
     else:
-        g = gf.xn_minus_one_over(t, n, _minpoly_product(t, n, _make_defining_set(ds.q, n, ~ds.mask).source_cosets))
+        g = gf.xn_minus_one_over(t, n, _minpoly_product(t, n, DefiningSet(ds.q, n, ~ds.mask).source_cosets))
     assert g.degree == ds.size or (ds.size == 0 and g.degree == 0)
     return g
 
@@ -315,27 +326,14 @@ def dual_generator(t: gf.FieldTower, code) -> gf.Polynomial:
 def dual_code(t: gf.FieldTower, code) -> CyclicCode:
     """The dual as a cyclic code, generated by the generator polynomial of T_perp."""
     dual_ds = dual_defining_set(code.defining)
-    g = generator_polynomial(t, dual_ds)
-    return CyclicCode(q=code.q, n=code.n, genpoly=g, defining=dual_ds, dimension=code.n - code.dimension)
+    return CyclicCode(dual_ds, generator_polynomial(t, dual_ds))
 
 
 def bch_code(t: gf.FieldTower, n: int, delta: int, b: int = 1, family: str = "raw", m: int | None = None) -> BchCode:
     """Construct the BCH code of length n with designed distance delta."""
     _check_tower(t, t.q, n)
     ds = defining_set(t.q, n, delta, b)
-    g = generator_polynomial(t, ds)
-    return BchCode(
-        q=t.q,
-        m=m if m is not None else t.m,
-        family=family,
-        n=n,
-        b=b,
-        delta=delta,
-        defining=ds,
-        genpoly=g,
-        dimension=n - ds.size,
-        bch_bound=bch_bound(ds),
-    )
+    return BchCode(ds, generator_polynomial(t, ds), m=m if m is not None else t.m, family=family, b=b, delta=delta)
 
 
 def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: int | None = None):

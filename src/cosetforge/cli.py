@@ -200,7 +200,7 @@ def _cmd_code(args) -> tuple[dict, int]:
     doc = _code_summary(code)
     doc["dually_bch"] = _recognition_doc(bch.dual_defining_set(code.defining))
     if args.true_distance:
-        doc["distance"] = _distance_doc(t, code, args, {"designed": code.delta, "bch_run": code.bch_bound})
+        doc["distance"] = _distance_doc(t, code, args, {"designed": code.delta, "bch_run": doc["bch_bound"]})
     return doc, 0
 
 
@@ -208,7 +208,7 @@ def _cmd_dual(args) -> tuple[dict, int]:
     t, code = bch.build_family_code(args.q, args.m, args.family, args.delta, b=args.b, n=args.n)
     dual = bch.dual_code(t, code)
     bounds = {"bch_run": bch.bch_bound(dual.defining)}
-    if args.family == cosets.PLUS and args.b == 1:
+    if args.family == cosets.PLUS and args.b == 1 and args.m >= 4:  # where dual_bound_closed_form applies
         bounds["closed_form"] = distance.dual_bound_closed_form(args.q, args.m, args.delta)
     doc = {
         "primal": _code_summary(code),

@@ -1,14 +1,16 @@
 """q-cyclotomic cosets modulo n, coset leaders, and closed-form leader values.
 
 Everything in this module is exact integer arithmetic; no field tables are
-needed.  One leader map (built by window doubling) holds the coset structure
-of all n residues; the single-orbit walks stay as independent scalar checks.
+needed.  One cached leader map (built by window doubling) is the only stored
+coset structure, and the leader listings read it; the single-orbit walks
+stay as independent scalar checks.
 Closed-form operations enforce their family's constraints ("plus" for
 n = (q^m-1)/(q+1) with m even, "minus" for n = (q^m-1)/(q-1) with q >= 3).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -86,11 +88,12 @@ def cyclotomic_coset(q: int, n: int, s: int) -> CyclotomicCoset:
     return CyclotomicCoset(n=n, q=q, leader=min(orbit), elements=tuple(sorted(orbit)), size=len(orbit))
 
 
-_BLOCK = 1 << 16  # residues per block of the x*s mod n index in _orbit_minima
+_BLOCK = 1 << 16  # residues per block of the x*s mod n index, and of a leader scan
 
 
-def _orbit_minima(q: int, n: int) -> np.ndarray:
-    """int32 array L with L[x] = coset leader (orbit minimum) of x modulo n.
+@lru_cache(maxsize=None)
+def leader_map(q: int, n: int) -> np.ndarray:
+    """int32 array L with L[x] = coset leader (orbit minimum) of x modulo n, cached.
 
     Window doubling: each round lowers L[x] to L[x*s mod n] in place and squares
     s (q, q^2, q^4, ...), so after the round with s = q^k, L[x] <= x*q^j mod n
@@ -118,19 +121,16 @@ def _orbit_minima(q: int, n: int) -> np.ndarray:
     return lead
 
 
-@lru_cache(maxsize=None)
-def leader_map(q: int, n: int) -> np.ndarray:
-    """int32 array L with L[x] = coset leader of x modulo n, cached for bch's sets and sweeps."""
-    return _orbit_minima(q, n)
+def _leaders_in(lead: np.ndarray, lo: int) -> list[int]:
+    """The coset leaders in [lo, lo + _BLOCK), ascending: the x there with L[x] = x."""
+    block = lead[lo : lo + _BLOCK]
+    return (np.flatnonzero(block == np.arange(lo, lo + block.size, dtype=lead.dtype)) + lo).tolist()
 
 
-@lru_cache(maxsize=None)
 def coset_leaders(q: int, n: int) -> tuple[int, ...]:
-    """All coset leaders modulo n, ascending (one representative per orbit)."""
-    lead = _orbit_minima(q, n)  # not leader_map: a leader listing need not keep its map
-    is_leader = np.zeros(n, dtype=bool)
-    is_leader[lead] = True  # L takes exactly the leaders as values, L[x] = x on them
-    return tuple(np.flatnonzero(is_leader).tolist())
+    """All coset leaders modulo n, ascending (one representative per orbit), read off the cached leader map."""
+    lead = leader_map(q, n)
+    return tuple(x for lo in range(0, n, _BLOCK) for x in _leaders_in(lead, lo))
 
 
 def is_coset_leader(q: int, n: int, s: int) -> bool:
@@ -147,11 +147,12 @@ def is_coset_leader(q: int, n: int, s: int) -> bool:
 
 
 def top_k_leaders(q: int, n: int, k: int) -> list[int]:
-    """The k largest coset leaders modulo n, descending (fewer if fewer exist)."""
+    """The k largest coset leaders modulo n, descending (fewer if fewer exist), scanned down the cached leader map."""
     if k < 1:
         raise OutOfRange(f"k={k} must be >= 1")
-    leaders = coset_leaders(q, n)
-    return list(leaders[-1 : -k - 1 : -1])
+    lead = leader_map(q, n)
+    down = (x for lo in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK) for x in reversed(_leaders_in(lead, lo)))
+    return list(itertools.islice(down, k))  # stops at the block holding the k-th
 
 
 def q_adic(a: int, q: int, m: int) -> QAdic:

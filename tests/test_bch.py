@@ -26,15 +26,15 @@ def naive_leader(q, n, x):
 
 
 def mask(n, residues):
-    """Boolean array over Z_n marking the residues (the form _make_defining_set takes)."""
+    """Boolean array over Z_n marking the residues (the form DefiningSet takes)."""
     out = np.zeros(n, dtype=bool)
     out[list(residues)] = True
     return out
 
 
-def from_residues(q, n, residues, sources):
+def from_residues(q, n, residues):
     """A DefiningSet over the residues; the constructor takes their mask."""
-    return bch.DefiningSet(q, n, mask(n, residues), sources)
+    return bch.DefiningSet(q, n, mask(n, residues))
 
 
 def test_defining_set_examples():
@@ -63,16 +63,29 @@ def test_dual_defining_set_examples():
     assert dd.exponents == frozenset(range(20)) - {19, 17, 13, 11}
     assert dd.size == 16
 
-    empty = from_residues(3, 20, frozenset(), ())
+    empty = from_residues(3, 20, frozenset())
     assert bch.dual_defining_set(empty).size == 20
-    full = from_residues(3, 20, frozenset(range(20)), tuple(cosets.coset_leaders(3, 20)))
+    full = from_residues(3, 20, frozenset(range(20)))
     assert bch.dual_defining_set(full).size == 0
+
+
+def test_defining_set_is_its_mask():
+    # source cosets are read off the leader map, so two sets from one mask agree, leaders included
+    t = gf.tower_for(2, 6)
+    for q, n, delta in [(2, 21, 4), (3, 20, 6), (3, 40, 9), (4, 85, 3)]:
+        bits = bch.defining_set(q, n, delta).mask
+        a, b = bch.DefiningSet(q, n, bits), bch.DefiningSet(q, n, bits.copy())
+        assert a == b and hash(a) == hash(b)
+        assert a.source_cosets == tuple(sorted({naive_leader(q, n, x) for x in a.exponents}))
+    ds = bch.DefiningSet(2, 21, bch.defining_set(2, 21, 4).mask)
+    assert bch.recognize_bch(ds).witness == (1, 5)
+    assert bch.generator_polynomial(t, ds).degree == ds.size == 9
 
 
 def test_defining_set_rejects_mis_sized_mask():
     for bits in (np.zeros(19, dtype=bool), np.zeros(21, dtype=bool), np.zeros((4, 5), dtype=bool), frozenset({1, 3, 7, 9})):
         with pytest.raises(OutOfRange):
-            bch.DefiningSet(3, 20, bits, (1,))
+            bch.DefiningSet(3, 20, bits)
 
 
 def test_defining_set_memory_per_residue():
@@ -106,7 +119,7 @@ def test_dual_defining_set_duality_property(data):
     q, n = data.draw(st.sampled_from(DUALITY_MODULI))
     leaders = sorted({naive_leader(q, n, x) for x in range(1, n)})
     chosen = data.draw(st.lists(st.sampled_from(leaders), unique=True))
-    t = from_residues(q, n, frozenset(closure(q, n, chosen)), tuple(sorted(chosen)))
+    t = from_residues(q, n, frozenset(closure(q, n, chosen)))
     tperp = bch.dual_defining_set(t)
     assert bch.dual_defining_set(tperp) == t
     assert tperp.size == n - t.size
@@ -175,13 +188,13 @@ def recognition_sets():
 
 def test_bch_bound_examples():
     assert bch.bch_bound(bch.defining_set(2, 21, 9, 1)) >= 9
-    run = from_residues(3, 20, frozenset(range(11)), (0, 1, 2, 4, 5, 10))
+    run = from_residues(3, 20, frozenset(range(11)))
     assert bch.bch_bound(run) == 12
-    single = from_residues(2, 21, frozenset({5}), (5,))
+    single = from_residues(2, 21, frozenset({5}))
     assert bch.bch_bound(single) == 2
-    assert bch.bch_bound(from_residues(2, 21, frozenset(), ())) == 1
+    assert bch.bch_bound(from_residues(2, 21, frozenset())) == 1
     # wrap-around run
-    wrap = from_residues(3, 20, frozenset({19, 0, 1, 2, 7}), ())
+    wrap = from_residues(3, 20, frozenset({19, 0, 1, 2, 7}))
     assert bch.bch_bound(wrap) == 5
     for ds in recognition_sets():
         assert bch.bch_bound(ds) == longest_run(ds.exponents, ds.n) + 1, (ds.q, ds.n, ds.source_cosets)
@@ -200,14 +213,14 @@ def test_recognize_bch_examples():
     rec = bch.recognize_bch(tperp)
     assert rec.is_bch and rec.witness == (0, 12) and rec.c0_anchored
 
-    c5 = bch._make_defining_set(2, 21, mask(21, closure(2, 21, [5])))
+    c5 = bch.DefiningSet(2, 21, mask(21, closure(2, 21, [5])))
     rec5 = bch.recognize_bch(c5)
     assert rec5.is_bch and rec5.witness == (5, 2)
 
-    c1c5 = bch._make_defining_set(2, 21, mask(21, closure(2, 21, [1, 5])))
+    c1c5 = bch.DefiningSet(2, 21, mask(21, closure(2, 21, [1, 5])))
     assert not bch.recognize_bch(c1c5).is_bch
 
-    assert bch.recognize_bch(from_residues(2, 21, frozenset(), ())).empty
+    assert bch.recognize_bch(from_residues(2, 21, frozenset())).empty
 
 
 def test_recognize_bch_reconstructs_window():
@@ -332,7 +345,7 @@ def test_monotonicity_of_defining_sets():
 
 def test_generator_polynomial_examples():
     t21 = gf.tower_for(2, 6)
-    c0 = bch._make_defining_set(2, 21, mask(21, {0}))
+    c0 = bch.DefiningSet(2, 21, mask(21, {0}))
     g0 = bch.generator_polynomial(t21, c0)
     assert g0.coeffs == (1, 1)  # x - 1
 
@@ -342,7 +355,7 @@ def test_generator_polynomial_examples():
     _, rem = gf.poly_divmod(t21, gf.xn_minus_one(t21, 21), g)
     assert rem.is_zero()
 
-    full = bch._make_defining_set(2, 21, mask(21, set(range(21))))
+    full = bch.DefiningSet(2, 21, mask(21, set(range(21))))
     gfull = bch.generator_polynomial(t21, full)
     assert gfull.coeffs == gf.xn_minus_one(t21, 21).coeffs
 
@@ -405,8 +418,8 @@ def test_dual_generator_matches_reciprocal_construction(q, m, n):
 
 def test_dual_generator_repetition_case():
     t = gf.tower_for(2, 6)
-    c0 = bch._make_defining_set(2, 21, mask(21, {0}))
-    code = bch.CyclicCode(q=2, n=21, genpoly=bch.generator_polynomial(t, c0), defining=c0, dimension=20)
+    c0 = bch.DefiningSet(2, 21, mask(21, {0}))
+    code = bch.CyclicCode(defining=c0, genpoly=bch.generator_polynomial(t, c0))
     dg = bch.dual_generator(t, code)
     assert dg.degree == 20
 

@@ -55,6 +55,14 @@ def test_dual_report(capsys):
     assert doc["dual"]["dim"] == 4
 
 
+def test_dual_report_below_closed_form_range(capsys):
+    # dual_bound_closed_form needs m >= 4; at m = 2 the dual reports its other bounds, as code does
+    rc, out, _ = run_cli(capsys, "dual", "--q", "3", "--m", "2", "--family", "plus", "--delta", "2")
+    doc = json.loads(out)
+    assert rc == 0 and doc["dual"]["n"] == 2
+    assert "closed_form" not in doc["bounds"] and "bch_run" in doc["bounds"]
+
+
 def test_dually_bch_sweep(capsys):
     rc, out, _ = run_cli(capsys, "dually-bch", "--q", "3", "--m", "4", "--family", "plus", "--sweep")
     doc = json.loads(out)

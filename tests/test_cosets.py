@@ -98,13 +98,29 @@ def test_leader_map_matches_orbit_walks(block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(cosets, "_BLOCK", block)
     cosets.leader_map.cache_clear()
-    cosets.coset_leaders.cache_clear()
     try:
         for q, n in SMALL_MODULI:
             check_against_orbit_walks(q, n)
     finally:
         cosets.leader_map.cache_clear()
-        cosets.coset_leaders.cache_clear()
+
+
+def test_leaders_are_read_off_the_cached_map(monkeypatch):
+    q, n = 2, 255
+    cosets.leader_map(q, n)
+    before = cosets.leader_map.cache_info()
+
+    def no_rebuild(*args):
+        raise AssertionError("window doubling ran again")
+
+    monkeypatch.setattr(cosets, "_check_coprime", no_rebuild)  # the first step of a map build
+    monkeypatch.setattr(cosets, "coset_leaders", no_rebuild)  # top_k_leaders lists only the leaders it returns
+    assert cosets.top_k_leaders(q, n, 3) == list(cosets.largest_leaders_qm1(2, 8))
+    monkeypatch.undo()
+    monkeypatch.setattr(cosets, "_check_coprime", no_rebuild)
+    assert cosets.coset_leaders(q, n) == tuple(sorted({min(naive_orbit(q, n, x)) for x in range(n)}))
+    after = cosets.leader_map.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
 
 def test_leader_map_matches_orbit_walks_on_family_points():

@@ -86,7 +86,7 @@ def naive_macwilliams(counts, q):
 
 
 def mask(n, residues):
-    """Boolean array over Z_n marking the residues (the form _make_defining_set takes)."""
+    """Boolean array over Z_n marking the residues (the form DefiningSet takes)."""
     out = np.zeros(n, dtype=bool)
     out[list(residues)] = True
     return out
@@ -94,8 +94,8 @@ def mask(n, residues):
 
 def full_code(t, n):
     """The k = 0 cyclic code: every residue is a root, so the generator is x^n - 1."""
-    ds = bch._make_defining_set(t.q, n, mask(n, set(range(n))))
-    return bch.CyclicCode(q=t.q, n=n, genpoly=bch.generator_polynomial(t, ds), defining=ds, dimension=0)
+    ds = bch.DefiningSet(t.q, n, mask(n, set(range(n))))
+    return bch.CyclicCode(defining=ds, genpoly=bch.generator_polynomial(t, ds))
 
 
 # (q, m, n, delta): k from 0 to 12; q = 9 is an odd-characteristic extension field
@@ -110,9 +110,9 @@ ORACLE_CODES = [
 
 def test_repetition_style_code_distance():
     t = gf.tower_for(2, 6)
-    ds = bch._make_defining_set(2, 21, mask(21, set(range(1, 21))))  # roots at all nonzero exponents
+    ds = bch.DefiningSet(2, 21, mask(21, set(range(1, 21))))  # roots at all nonzero exponents
     g = bch.generator_polynomial(t, ds)
-    code = bch.CyclicCode(q=2, n=21, genpoly=g, defining=ds, dimension=1)
+    code = bch.CyclicCode(defining=ds, genpoly=g)
     res = distance.min_distance_enumerate(t, code)
     assert res.d == 21 and res.enumerated == 2
     we = distance.weight_enumerator(t, code)
@@ -130,10 +130,19 @@ def test_known_dual_distances():
     assert distance.min_distance_enumerate(t21, dual2).d == 8
 
 
+def test_cyclic_code_dimension_is_read_off_its_set():
+    # a code is its defining set and its generator; the dimension cannot be given apart from them
+    t = gf.tower_for(2, 6)
+    bch_21 = bch.bch_code(t, 21, 4)
+    code = bch.CyclicCode(defining=bch_21.defining, genpoly=bch_21.genpoly)
+    assert (code.q, code.n, code.dimension) == (2, 21, 12)
+    assert distance.min_distance_enumerate(t, code).d == 5
+
+
 def test_zero_code_enumerator():
     t = gf.tower_for(2, 6)
-    full = bch._make_defining_set(2, 21, mask(21, set(range(21))))
-    code = bch.CyclicCode(q=2, n=21, genpoly=bch.generator_polynomial(t, full), defining=full, dimension=0)
+    full = bch.DefiningSet(2, 21, mask(21, set(range(21))))
+    code = bch.CyclicCode(defining=full, genpoly=bch.generator_polynomial(t, full))
     we = distance.weight_enumerator(t, code)
     assert we.counts[0] == 1 and sum(we.counts) == 1
     assert distance.min_distance_enumerate(t, code, method="direct").d is None
@@ -165,8 +174,8 @@ def test_enumerator_with_tiny_tables_matches_naive_oracle(q, m, n, delta, table_
 
 def repetition_code(t, n):
     """The [n, 1] code of the all-ones word: every nonzero residue is a root."""
-    ds = bch._make_defining_set(t.q, n, mask(n, set(range(1, n))))
-    return bch.CyclicCode(q=t.q, n=n, genpoly=gf.Polynomial((1,) * n), defining=ds, dimension=1)
+    ds = bch.DefiningSet(t.q, n, mask(n, set(range(1, n))))
+    return bch.CyclicCode(defining=ds, genpoly=gf.Polynomial((1,) * n))
 
 
 # (q, m, n, delta, dual): [14706, 4] (CLM-T1 at delta1: 39 position blocks, the last ragged), [300, 5]

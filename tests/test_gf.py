@@ -509,7 +509,7 @@ def test_poly_divmod_matches_scalar_loop_on_complement_route(q, m, n):
     for ds in sets.values():
         if ds.size <= n - ds.size:
             continue
-        h = bch._minpoly_product(t, n, bch._make_defining_set(q, n, ~ds.mask).source_cosets)
+        h = bch._minpoly_product(t, n, bch.DefiningSet(q, n, ~ds.mask).source_cosets)
         quot, rem = gf.poly_divmod(t, xn1, h)
         assert (quot, rem) == scalar_divmod(t, xn1, h)
         assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
