@@ -23,7 +23,7 @@ for lead in cosets.coset_leaders(3, n):
 xn1 = gf.xn_minus_one(t, n)
 print(f"\nproduct of all of them: {product}")
 print(f"x^{n} - 1 over GF(3):    {xn1}")
-print(f"equal? {product.coeffs == xn1.coeffs}")
+print(f"equal? {product == xn1}")
 
 beta = t.pow(t.alpha, (t.order - 1) // n)
 mp1 = gf.minimal_polynomial(t, n, 1)

@@ -16,7 +16,7 @@ for family, q, m in CASES:
     t, code = bch.build_family_code(q, m, family, delta1)
     res = distance.min_distance_enumerate(t, code)
     print(f"family {family:<5} q={q} m={m}:  [{code.n}, {code.dimension}] code, designed distance {delta1}")
-    print(f"    generator degree {code.genpoly.coeffs.__len__() - 1}, defining set size {code.defining.size}")
+    print(f"    generator degree {code.genpoly.degree}, defining set size {code.defining.size}")
     print(f"    run bound {code.bch_bound}, true distance {res.d} ({res.method}, {res.enumerated} words)")
 
 print("\nweight enumerator of the [20, 5] ternary code at delta = 11:")

@@ -66,8 +66,10 @@ class DefiningSet:
 
     @property
     def source_cosets(self) -> tuple[int, ...]:
-        """Leaders of the cosets composing the set, ascending: its members with L[x] = x on ``cosets.leader_map``."""
+        """Leaders of the cosets composing the set, ascending (its members with L[x] = x); OutOfRange unless it is coset-closed."""
         lead = cosets.leader_map(self.q, self.n)
+        if not np.array_equal(self.mask, self.mask[lead]):  # closed exactly when x and its leader L[x] are both in or both out
+            raise OutOfRange(f"the set is not a union of {self.q}-cyclotomic cosets modulo n = {self.n}")
         return tuple(np.flatnonzero(self.mask & (lead == np.arange(self.n, dtype=lead.dtype))).tolist())
 
 
@@ -136,7 +138,8 @@ def defining_set(q: int, n: int, delta: int, b: int = 1) -> DefiningSet:
         raise DeltaOutOfRange(f"delta={delta} outside [2, {show_int(n)}]")
     lead = cosets.leader_map(q, n)
     hit = np.zeros(n, dtype=bool)  # hit[v]: the window meets the coset with leader v
-    hit[lead[(b % n + np.arange(delta - 1)) % n]] = True
+    lo, hi = b % n, b % n + delta - 1  # the window lo, ..., hi - 1 mod n is two slices of the map
+    hit[lead[lo:hi]] = hit[lead[: max(hi - n, 0)]] = True
     return DefiningSet(q, n, hit[lead])
 
 

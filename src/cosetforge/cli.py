@@ -168,10 +168,9 @@ def _cmd_cosets(args) -> tuple[dict, int]:
         if c.size <= args.max_elements:
             doc["elements"] = list(c.elements)
         return doc, 0
-    leaders = cosets.coset_leaders(args.q, n)
-    doc = {"q": args.q, "n": n, "count": len(leaders)}
-    if len(leaders) <= args.max_elements:
-        doc["leaders"] = list(leaders)
+    doc = {"q": args.q, "n": n, "count": cosets.leader_count(args.q, n)}
+    if doc["count"] <= args.max_elements:
+        doc["leaders"] = list(cosets.coset_leaders(args.q, n))
     return doc, 0
 
 
@@ -185,7 +184,7 @@ def _code_summary(code) -> dict:
         "delta": code.delta,
         "dim": code.dimension,
         "bch_bound": code.bch_bound,
-        "genpoly_degree": len(code.genpoly.coeffs) - 1,
+        "genpoly_degree": code.genpoly.degree,
         "defining_set_size": code.defining.size,
     }
 
@@ -216,7 +215,7 @@ def _cmd_dual(args) -> tuple[dict, int]:
             "n": dual.n,
             "dim": dual.dimension,
             "defining_set_size": dual.defining.size,
-            "genpoly_degree": len(dual.genpoly.coeffs) - 1,
+            "genpoly_degree": dual.genpoly.degree,
             "recognized": _recognition_doc(dual.defining),
         },
         "bounds": bounds,

@@ -133,6 +133,12 @@ def coset_leaders(q: int, n: int) -> tuple[int, ...]:
     return tuple(x for lo in range(0, n, _BLOCK) for x in _leaders_in(lead, lo))
 
 
+def leader_count(q: int, n: int) -> int:
+    """The number of cosets modulo n, counted off the cached leader map one block at a time, with no list of every leader."""
+    lead = leader_map(q, n)
+    return sum(len(_leaders_in(lead, lo)) for lo in range(0, n, _BLOCK))
+
+
 def is_coset_leader(q: int, n: int, s: int) -> bool:
     """True iff s * q^l mod n >= s for every l (s is minimal in its orbit)."""
     _check_coprime(q, n)

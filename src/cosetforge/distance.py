@@ -38,17 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bch, gf
-from .errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntegerTransform, OutOfRange
+from .errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint, NonIntegerTransform, OutOfRange, show_int
 
 DEFAULT_BUDGET = 10**7
 BUDGET_ENV_VAR = "COSETFORGE_BUDGET"
+MAX_BUDGET = 2**63  # q^k <= 2^63 keeps every base-q column key (below q^k) in a 64-bit integer
 
 _TABLE_ENTRIES = 1 << 17  # cap on the word pairs of one product and the entries of one one-hot block
 _KEY_BLOCK = 1 << 17  # generator columns keyed at once
 
 
 def effective_budget(budget: int | None = None) -> int:
-    """Explicit budget, else the COSETFORGE_BUDGET env var, else the default."""
+    """Explicit budget, else the COSETFORGE_BUDGET env var, else the default; OutOfRange outside [0, MAX_BUDGET]."""
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         try:
@@ -57,6 +58,8 @@ def effective_budget(budget: int | None = None) -> int:
             raise OutOfRange(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
     if budget < 0:
         raise OutOfRange(f"enumeration budget must be >= 0, got {budget}")
+    if budget > MAX_BUDGET:
+        raise OutOfRange(f"enumeration budget {show_int(budget)} exceeds the ceiling 2^63")
     return budget
 
 
@@ -121,9 +124,8 @@ def _projective_classes(t: gf.FieldTower, code) -> tuple[np.ndarray, np.ndarray]
     kt = np.min_scalar_type(q**k)
     mul = np.asarray(t.q_mul, dtype=dt)
     inv = np.asarray(t.q_inv, dtype=dt)
-    coeffs = code.genpoly.coeffs
     g = np.zeros(n + k - 1, dtype=dt)  # g[k-1 + i - j] = g_(i-j), the entry of x^j g at position i (0 for i < j)
-    g[k - 1 : k - 1 + len(coeffs)] = np.fromiter(coeffs, dtype=dt, count=len(coeffs))
+    g[k - 1 : k + code.genpoly.degree] = code.genpoly.coeffs
     assert g[k - 1], "the generator of a cyclic code has g_0 != 0"
 
     def class_keys(cols):  # the keys of the columns scaled to the base row, then to first nonzero entry 1

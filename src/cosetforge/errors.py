@@ -2,10 +2,10 @@
 
 # Largest field order or modulus n.  It bounds the n-length structures (the
 # int32 leader map, 1-byte defining-set masks, enumeration over n positions):
-# `coset_leaders` at n = 2^26 - 1, q = 2 takes 8.2 s and 386 MB, 289 MB for
-# `cosets --top 3`, which lists only the leaders it reports.  A tower has
-# no top-field table (GF(2^26) builds in under 1 MB); for it the guard keeps
-# the float64 digit-matrix products exact, d*p^2 < 2^53.
+# `cosets --q 2 --n 67108863` peaks at 289 MB RSS (2-vCPU VM) counting its
+# 2,581,427 leaders or finding the top 3; listing them all takes 386 MB.
+# A tower has no top-field table (GF(2^26) builds in under 1 MB); for it the
+# guard keeps the float64 digit-matrix products exact, d*p^2 < 2^53.
 ORDER_GUARD = 2**26
 
 # Largest n for which `dually-bch --sweep` runs.  The report is written a

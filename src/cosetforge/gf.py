@@ -24,14 +24,15 @@ coefficients look like ordinary integers mod p, and the q x q tables
 `q_add`, `q_mul`, `q_inv`, `q_neg`, read off the digit rows of the powers
 of omega, give their arithmetic.
 
-Every polynomial is a GF(q)[x] polynomial of such indices.  `poly_mul` and
-`poly_divmod` update a whole row of the result per coefficient of one
-operand through those tables; `lift_to_tower` embeds the coefficients in
-the top field, where `poly_eval` finds the roots.  `xn_minus_one_over`
-divides x^n - 1 by a divisor h of degree k without long division: the
-quotient is minus the power series 1/h, a linear recurring sequence of
-order k, and each block of its terms is the previous k terms' digit row
-times one float64 matrix, mod p, as in the top field.
+Every polynomial is a GF(q)[x] polynomial of such indices, held as one
+read-only uint16 array that the numpy code reads with no conversion.
+`poly_mul` and `poly_divmod` update a whole row of the result per
+coefficient of one operand through those tables; `lift_to_tower` embeds
+the coefficients in the top field, where `poly_eval` finds the roots.
+`xn_minus_one_over` divides x^n - 1 by a divisor h of degree k without
+long division: the quotient is minus the power series 1/h, a linear
+recurring sequence of order k, and each block of its terms is the
+previous k terms' digit row times one float64 matrix, mod p.
 """
 
 from __future__ import annotations
@@ -351,31 +352,35 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense polynomial over GF(q); ascending tuple of GF(q) indices.
+    """Dense polynomial over GF(q): its ascending GF(q) indices, stored once as uint16 bytes.
 
-    Trailing zero coefficients are stripped on construction, so the leading
-    coefficient is nonzero unless the polynomial is zero (empty tuple).
+    Built from any sequence or array of indices (below SUBFIELD_GUARD, so uint16 holds them) with trailing zeros stripped, so
+    the leading coefficient is nonzero unless it is zero; it compares and hashes by value; ``coeffs`` is a read-only, zero-copy view.
     """
 
-    coeffs: tuple[int, ...]
+    data: bytes
 
     def __post_init__(self):
-        c = tuple(self.coeffs)
+        c = np.asarray(self.data, dtype=np.uint16)
         end = len(c)
-        while end and c[end - 1] == 0:
+        while end and not c[end - 1]:  # a Python walk: numpy's zero trimming allocates int64 over all of c
             end -= 1
-        object.__setattr__(self, "coeffs", c[:end])
+        object.__setattr__(self, "data", c[:end].tobytes())
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return np.frombuffer(self.data, dtype=np.uint16)
 
     @property
     def degree(self):
         """Degree, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.data) // 2 - 1 if self.data else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.data
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.data:
             return "0"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -392,26 +397,26 @@ class Polynomial:
 def poly_mul(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         return Polynomial(())
-    if len(f.coeffs) > len(g.coeffs):
+    if f.degree > g.degree:
         f, g = g, f  # one row per coefficient of the shorter factor
-    row = np.array(g.coeffs)
-    out = np.zeros(len(f.coeffs) + len(row) - 1, dtype=np.int32)
+    row = g.coeffs
+    out = np.zeros(f.degree + len(row), dtype=np.uint16)
     for i, a in enumerate(f.coeffs):
         if a:
             out[i : i + len(row)] = t.q_add[out[i : i + len(row)], t.q_mul[a, row]]
-    return Polynomial(tuple(out.tolist()))
+    return Polynomial(out)
 
 
 def poly_divmod(t: FieldTower, f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial]:
     if g.is_zero():
         raise ModByZero("division by the zero polynomial")
-    dg = len(g.coeffs) - 1
-    if len(f.coeffs) <= dg:
+    dg = g.degree
+    if f.degree < dg:
         return Polynomial(()), f
     lead_inv = t.q_inv.item(g.coeffs[-1])
-    minus_g = t.q_mul[t.q_neg[:, None], np.array(g.coeffs)]  # row c is -c*g
-    rem = np.array(f.coeffs, dtype=np.int32)
-    quot = [0] * (len(rem) - dg)
+    minus_g = t.q_mul[t.q_neg[:, None], g.coeffs]  # row c is -c*g
+    rem = f.coeffs.copy()
+    quot = np.zeros(len(rem) - dg, dtype=np.uint16)
     for i in range(len(rem) - 1, dg - 1, -1):
         c = rem.item(i)
         if c == 0:
@@ -419,7 +424,7 @@ def poly_divmod(t: FieldTower, f: Polynomial, g: Polynomial) -> tuple[Polynomial
         factor = t.q_mul.item(c, lead_inv)
         quot[i - dg] = factor
         rem[i - dg : i + 1] = t.q_add[rem[i - dg : i + 1], minus_g[factor]]  # one row update per quotient term
-    return Polynomial(tuple(quot)), Polynomial(tuple(rem.tolist()))
+    return Polynomial(quot), Polynomial(rem[:dg])
 
 
 def poly_mod(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -429,7 +434,7 @@ def poly_mod(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
 def _monic(t: FieldTower, f: Polynomial) -> Polynomial:
     if f.is_zero() or f.coeffs[-1] == 1:
         return f
-    return Polynomial(tuple(t.q_mul[t.q_inv[f.coeffs[-1]], list(f.coeffs)].tolist()))
+    return Polynomial(t.q_mul[t.q_inv[f.coeffs[-1]], f.coeffs])
 
 
 def poly_gcd(t: FieldTower, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -463,7 +468,7 @@ def poly_eval(t: FieldTower, f: Polynomial, x: int) -> int:
 
 
 def xn_minus_one(t: FieldTower, n: int) -> Polynomial:
-    return Polynomial((t.q_neg.item(1),) + (0,) * (n - 1) + (1,))
+    return xn_minus_one_over(t, n, Polynomial((1,)))
 
 
 # xn_minus_one_over's blocks: a block's fixed numpy overhead costs about as much as building
@@ -493,19 +498,19 @@ def xn_minus_one_over(t: FieldTower, n: int, h: Polynomial) -> Polynomial:
     """
     if h.is_zero():
         raise ModByZero("division by the zero polynomial")
-    k = len(h.coeffs) - 1
+    k = h.degree
     if h.coeffs[0] == 0 or k > n:
         raise NotADivisor(f"a polynomial of degree {k} does not divide x^{n} - 1")
     h0_inv = t.q_inv.item(h.coeffs[0])
     if k == 0:
-        return Polynomial((t.q_neg.item(h0_inv),) + (0,) * (n - 1) + (h0_inv,))
+        return Polynomial(np.concatenate(([t.q_neg[h0_inv]], np.zeros(n - 1, dtype=np.uint16), [h0_inv])))
     p, e = t.p, t.e
     per_term = k * e * e  # matrix entries per term of a block
     block = max(1, min(math.isqrt(4 * n * _BLOCK_BALANCE // (_BLOCK_BALANCE + per_term)), _BLOCK_ENTRIES // per_term))
     dtype = np.float32 if k * e * (p - 1) ** 2 < 1 << 24 else np.float64
     # rows[r, 1:] is x^(k+r) mod P after a zero column, so rows[r, :-1] is x times it with the top
     # coefficient c = rows[r, k] dropped, and c folds back as c * (x^k mod P)
-    xk = t.q_neg[t.q_mul[h0_inv, list(h.coeffs[:0:-1])]]
+    xk = t.q_neg[t.q_mul[h0_inv, h.coeffs[:0:-1]]]
     by_top = t.q_mul[:, xk]
     rows = np.zeros((block, k + 1), dtype=np.int32)
     rows[0, 1:] = xk
@@ -517,13 +522,13 @@ def xn_minus_one_over(t: FieldTower, n: int, h: Polynomial) -> Polynomial:
     weights = by_index[rows[:, 1:].T].transpose(0, 2, 1, 3).reshape(k * e, block * e)
     coords = coords.astype(dtype)
     # seq[k - 1 + i] = u_i from i = 1 - k on: k - 1 zeros, then u_0 = 1/h_0
-    seq = np.zeros(k + block * -(-n // block), dtype=np.int32)
+    seq = np.zeros(k + block * -(-n // block), dtype=np.uint16)
     seq[k - 1] = h0_inv
     for i in range(k, k + n, block):
         seq[i : i + block] = ((coords[seq[i - k : i]].ravel() @ weights).astype(np.int64) % p).reshape(block, e) @ place
     if not np.array_equal(seq[n : n + k], seq[:k]):
         raise NotADivisor(f"a polynomial of degree {k} does not divide x^{n} - 1")
-    return Polynomial(tuple(t.q_neg[seq[k - 1 : n]].tolist()))
+    return Polynomial(t.q_neg.astype(np.uint16)[seq[k - 1 : n]])
 
 
 def minimal_polynomial(t: FieldTower, n: int, i: int) -> Polynomial:
@@ -552,4 +557,4 @@ def minimal_polynomial(t: FieldTower, n: int, i: int) -> Polynomial:
         poly = np.fmod(nxt, t.p)
     # that is prod(x + beta^s); in prod(x - beta^s) the coefficient of x^j has the sign (-1)^(size-j)
     poly[size - 1 :: -2] = np.fmod(t.p - poly[size - 1 :: -2], t.p)
-    return Polynomial(tuple(t.project_subfield(v) for v in (poly @ t.place).astype(np.int64).tolist()))
+    return Polynomial(np.fromiter(map(t.project_subfield, (poly @ t.place).astype(np.int64).tolist()), dtype=np.uint16))

@@ -82,6 +82,18 @@ def test_defining_set_is_its_mask():
     assert bch.generator_polynomial(t, ds).degree == ds.size == 9
 
 
+def test_defining_set_rejects_a_mask_not_coset_closed():
+    # {5} is not a union of 2-cyclotomic cosets modulo 21 (C_5 has six members); nor is a BCH set missing one member
+    t = gf.tower_for(2, 6)
+    broken = bch.defining_set(2, 21, 4).mask.copy()
+    broken[2] = False
+    for ds in (bch.DefiningSet(2, 21, mask(21, {5})), bch.DefiningSet(2, 21, broken)):
+        with pytest.raises(OutOfRange):
+            bch.recognize_bch(ds)
+        with pytest.raises(OutOfRange):
+            bch.generator_polynomial(t, ds)
+
+
 def test_defining_set_rejects_mis_sized_mask():
     for bits in (np.zeros(19, dtype=bool), np.zeros(21, dtype=bool), np.zeros((4, 5), dtype=bool), frozenset({1, 3, 7, 9})):
         with pytest.raises(OutOfRange):
@@ -347,7 +359,7 @@ def test_generator_polynomial_examples():
     t21 = gf.tower_for(2, 6)
     c0 = bch.DefiningSet(2, 21, mask(21, {0}))
     g0 = bch.generator_polynomial(t21, c0)
-    assert g0.coeffs == (1, 1)  # x - 1
+    assert g0.coeffs.tolist() == [1, 1]  # x - 1
 
     ds = bch.defining_set(2, 21, 9, 1)
     g = bch.generator_polynomial(t21, ds)
@@ -357,7 +369,7 @@ def test_generator_polynomial_examples():
 
     full = bch.DefiningSet(2, 21, mask(21, set(range(21))))
     gfull = bch.generator_polynomial(t21, full)
-    assert gfull.coeffs == gf.xn_minus_one(t21, 21).coeffs
+    assert gfull == gf.xn_minus_one(t21, 21)
 
 
 def test_generator_polynomial_complement_route_matches_direct():
@@ -366,7 +378,7 @@ def test_generator_polynomial_complement_route_matches_direct():
     ds = bch.defining_set(3, 20, 11, 1)  # |T| = 15 > k = 5, triggers division
     g = bch.generator_polynomial(t, ds)
     direct = bch._minpoly_product(t, 20, ds.source_cosets)
-    assert g.coeffs == direct.coeffs
+    assert g == direct
 
 
 def test_dual_generator_and_root_set_duality():
@@ -412,7 +424,8 @@ def test_dual_generator_matches_reciprocal_construction(q, m, n):
             seen.add(code.defining.exponents)
             branches.add(code.defining.size <= code.dimension)
             dual = bch.dual_code(t, code)
-            assert bch.dual_generator(t, code).coeffs == dual.genpoly.coeffs == reciprocal_dual_generator(t, code)
+            assert bch.dual_generator(t, code) == dual.genpoly
+            assert tuple(dual.genpoly.coeffs.tolist()) == reciprocal_dual_generator(t, code)
     assert branches == {True, False}
 
 
@@ -428,7 +441,7 @@ def test_double_dual_is_identity():
     t = gf.tower_for(3, 4)
     code = bch.bch_code(t, 20, 5)
     dd = bch.dual_code(t, bch.dual_code(t, code))
-    assert dd.genpoly.coeffs == code.genpoly.coeffs
+    assert dd.genpoly == code.genpoly
     assert dd.defining.exponents == code.defining.exponents
 
 

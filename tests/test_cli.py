@@ -33,6 +33,18 @@ def test_cosets_single_coset_and_elision(capsys):
     assert "elements" not in json.loads(out)
 
 
+def test_cosets_count_lists_leaders_only_under_the_elision_bound(capsys, monkeypatch):
+    rc, out, _ = run_cli(capsys, "cosets", "--q", "2", "--n", "21")
+    assert rc == 0 and json.loads(out) == {"count": 6, "leaders": [0, 1, 3, 5, 7, 9], "n": 21, "q": 2}
+
+    def no_listing(*args):
+        raise AssertionError("the leaders were listed")
+
+    monkeypatch.setattr(cosets, "coset_leaders", no_listing)  # a count alone reads the map block by block
+    rc, out, _ = run_cli(capsys, "cosets", "--q", "2", "--n", "21", "--max-elements", "5")
+    assert rc == 0 and json.loads(out) == {"count": 6, "n": 21, "q": 2}
+
+
 def test_cosets_family_length(capsys):
     rc, out, _ = run_cli(capsys, "cosets", "--q", "3", "--m", "4", "--family", "minus", "--top", "1")
     assert json.loads(out) == {"n": 40, "q": 3, "top": [25]}
@@ -212,6 +224,16 @@ def test_bad_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("COSETFORGE_BUDGET", "abc")
     rc, out, err = run_cli(capsys, *code_argv)
     assert rc == 1 and "COSETFORGE_BUDGET" in err and not out
+
+
+def test_budget_past_the_key_width_is_a_domain_error(capsys):
+    # q^k = 2^120 fits a budget of 10^40, but base-2 keys of 120 digits hold no fixed-width integer
+    argv = ["code", "--q", "2", "--m", "7", "--family", "raw", "--n", "127", "--delta", "3", "--true-distance", "--method", "direct"]
+    rc, out, err = run_cli(capsys, *argv, "--max-codewords", str(10**40))
+    assert rc == 1 and not out
+    assert err.splitlines() == ["error: enumeration budget a 133-bit number exceeds the ceiling 2^63"]
+    rc, out, err = run_cli(capsys, *argv, "--max-codewords", str(2**63))
+    assert rc == 1 and not out and err.startswith("error: method direct needs q^k = 2^120 codewords")
 
 
 @pytest.mark.parametrize(

@@ -91,6 +91,7 @@ def check_against_orbit_walks(q, n):
     assert lm.dtype == np.int32 and lm.shape == (n,)
     assert lm.tolist() == want, (q, n)
     assert cosets.coset_leaders(q, n) == tuple(sorted(set(want))), (q, n)
+    assert cosets.leader_count(q, n) == len(set(want)), (q, n)
 
 
 @pytest.mark.parametrize("block", [None, 1, 7])

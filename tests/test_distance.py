@@ -23,7 +23,7 @@ from cosetforge.errors import BudgetExceeded, DeltaOutOfRange, FamilyConstraint,
 def naive_weights(t, code):
     """Weight of every codeword via plain polynomial multiplication."""
     n, k = code.n, code.dimension
-    g = list(code.genpoly.coeffs)
+    g = code.genpoly.coeffs.tolist()
     counts = [0] * (n + 1)
     for msg in itertools.product(range(t.q), repeat=k):
         word = [0] * n

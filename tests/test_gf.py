@@ -148,13 +148,13 @@ def test_inverse_of_zero_raises():
 def test_poly_examples():
     t2 = gf.build_tower(2, 1, 2)
     x_plus_1 = gf.Polynomial((1, 1))
-    assert gf.poly_lcm(t2, x_plus_1, x_plus_1).coeffs == (1, 1)
+    assert gf.poly_lcm(t2, x_plus_1, x_plus_1).coeffs.tolist() == [1, 1]
     x2_plus_1 = gf.Polynomial((1, 0, 1))
-    assert gf.poly_gcd(t2, x2_plus_1, x_plus_1).coeffs == (1, 1)
+    assert gf.poly_gcd(t2, x2_plus_1, x_plus_1).coeffs.tolist() == [1, 1]
 
     t3 = gf.build_tower(3, 1, 2)
     prod = gf.poly_mul(t3, gf.Polynomial((1, 1)), gf.Polynomial((2, 1)))
-    assert prod.coeffs == (2, 0, 1)  # (x+1)(x+2) = x^2 + 2 over GF(3)
+    assert prod.coeffs.tolist() == [2, 0, 1]  # (x+1)(x+2) = x^2 + 2 over GF(3)
 
 
 def test_poly_errors():
@@ -182,10 +182,44 @@ def test_poly_eval_and_degree():
     assert gf.Polynomial((0, 0)).is_zero()
 
 
+def stored_once(f):
+    """Whether f's coefficients are the read-only uint16 view of its one stored bytes field."""
+    c = f.coeffs
+    return c.dtype == np.uint16 and not c.flags.writeable and c.base is f.data
+
+
+def test_polynomial_is_its_uint16_coefficients():
+    made = [gf.Polynomial((2, 0, 1, 0, 0)), gf.Polynomial([2, 0, 1]), gf.Polynomial(np.array([2, 0, 1, 0], dtype=np.int32))]
+    assert len(set(made)) == 1 and len({hash(f) for f in made}) == 1
+    for f in made:
+        assert stored_once(f) and f.coeffs.tolist() == [2, 0, 1] and f.degree == 2 and str(f) == "x^2 + 2"
+    assert gf.Polynomial(()) == gf.Polynomial(np.zeros(5, dtype=np.int32)) != gf.Polynomial((0, 1))
+    assert [f.is_zero() for f in (gf.Polynomial([0, 0]), gf.Polynomial([0, 1]))] == [True, False]
+    source = np.array([1, 1], dtype=np.uint16)
+    f = gf.Polynomial(source)
+    source[0] = 0  # the polynomial keeps its own copy
+    assert f.coeffs.tolist() == [1, 1]
+    with pytest.raises(ValueError):
+        f.coeffs[0] = 0
+
+
+def test_xn_minus_one_over_memory_per_coefficient():
+    # the quotient is built and kept as uint16 (a few bytes per coefficient), not as a Python int per term
+    t, n = gf.tower_for(2, 20), (2**20 - 1) // 3
+    tracemalloc.start()
+    try:
+        g = gf.xn_minus_one_over(t, n, gf.Polynomial((1, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n, peak / n
+    assert g == gf.Polynomial(np.ones(n, dtype=np.uint16))  # 1 + x + ... + x^(n-1)
+
+
 def test_minimal_polynomial_examples():
     t21 = gf.build_tower(2, 1, 6)
     mp0 = gf.minimal_polynomial(t21, 21, 0)
-    assert mp0.coeffs == (1, 1)  # x - 1 = x + 1 over GF(2)
+    assert mp0.coeffs.tolist() == [1, 1]  # x - 1 = x + 1 over GF(2)
 
     mp1 = gf.minimal_polynomial(t21, 21, 1)
     assert mp1.degree == cosets.cyclotomic_coset(2, 21, 1).size == 6
@@ -225,10 +259,10 @@ def test_minimal_polynomial_invariants(p, e, m, n):
         _, rem = gf.poly_divmod(t, xn1, mp)
         assert rem.is_zero()
         # Frobenius stability: coefficient-wise c -> c^q fixes the polynomial
-        frob = tuple(t.q_pow(c, t.q) for c in mp.coeffs)
-        assert frob == mp.coeffs
+        frob = [t.q_pow(c, t.q) for c in mp.coeffs.tolist()]
+        assert frob == mp.coeffs.tolist()
         product = gf.poly_mul(t, product, mp)
-    assert product.coeffs == xn1.coeffs
+    assert product == xn1
 
 
 @pytest.mark.parametrize("p,e,m,n", TOWERS)
@@ -391,7 +425,7 @@ def test_minimal_polynomial_matches_scalar_expansion(p, e, m):
     assert lengths
     for n in lengths:
         for lead in cosets.coset_leaders(t.q, n):
-            assert gf.minimal_polynomial(t, n, lead).coeffs == _scalar_minimal_polynomial(ref, t.q, n, lead), (n, lead)
+            assert tuple(gf.minimal_polynomial(t, n, lead).coeffs.tolist()) == _scalar_minimal_polynomial(ref, t.q, n, lead), (n, lead)
 
 
 def test_tower_at_the_guard_takes_under_1_mb():
@@ -446,7 +480,7 @@ def test_field_axioms_property(pem, data):
 def scalar_divmod(t, f, g):
     """Schoolbook division with one scalar sub and mul per remainder coefficient touched."""
     F = _table_field(t)
-    rem = list(f.coeffs)
+    rem = f.coeffs.tolist()
     dg = len(g.coeffs) - 1
     lead_inv = F.inv(g.coeffs[-1])
     if len(rem) <= dg:
@@ -466,9 +500,9 @@ def scalar_divmod(t, f, g):
 def scalar_mul(t, f, g):
     """Schoolbook product with one scalar add and mul per pair of coefficients."""
     F = _table_field(t)
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1) if f.coeffs and g.coeffs else []
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1) if len(f.coeffs) and len(g.coeffs) else []
+    for i, a in enumerate(f.coeffs.tolist()):
+        for j, b in enumerate(g.coeffs.tolist()):
             out[i + j] = F.add(out[i + j], F.mul(a, b))
     return gf.Polynomial(tuple(out))
 
@@ -482,7 +516,7 @@ def test_poly_divmod_matches_scalar_loop(pem, data):
     g = gf.Polynomial(tuple(data.draw(st.lists(coeff, min_size=1, max_size=6), label="g")) + (data.draw(st.integers(1, t.q - 1), label="lead"),))
     quot, rem = gf.poly_divmod(t, f, g)
     assert (quot, rem) == scalar_divmod(t, f, g)
-    assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
+    assert all(stored_once(p) for p in (quot, rem))
     assert rem.degree < g.degree
 
 
@@ -496,7 +530,7 @@ def test_poly_mul_matches_scalar_loop(pem, data):
     g = gf.Polynomial(tuple(data.draw(st.lists(coeff, max_size=12), label="g")))
     prod = gf.poly_mul(t, f, g)
     assert prod == scalar_mul(t, f, g) == gf.poly_mul(t, g, f)
-    assert all(type(c) is int for c in prod.coeffs)
+    assert stored_once(prod)
 
 
 @pytest.mark.parametrize("q,m,n", [(2, 6, 21), (3, 4, 20), (3, 4, 40), (4, 4, 51), (5, 4, 104), (4, 3, 63), (8, 2, 21), (8, 2, 63), (9, 2, 40)])
@@ -512,7 +546,7 @@ def test_poly_divmod_matches_scalar_loop_on_complement_route(q, m, n):
         h = bch._minpoly_product(t, n, bch.DefiningSet(q, n, ~ds.mask).source_cosets)
         quot, rem = gf.poly_divmod(t, xn1, h)
         assert (quot, rem) == scalar_divmod(t, xn1, h)
-        assert all(type(c) is int for c in quot.coeffs + rem.coeffs)
+        assert all(stored_once(p) for p in (quot, rem))
         assert bch.generator_polynomial(t, ds) == quot
         routed += 1
     assert routed > 0
@@ -574,7 +608,7 @@ def test_xn_minus_one_over_every_divisor_of_a_short_xn_minus_one(q, m, n):
         for subset in itertools.combinations(leaders, size):
             h = bch._minpoly_product(t, n, subset)
             for c in range(1, q):
-                scaled = gf.Polynomial(tuple(t.q_mul[c, list(h.coeffs)].tolist()))
+                scaled = gf.Polynomial(t.q_mul[c, h.coeffs])
                 assert (gf.xn_minus_one_over(t, n, scaled), gf.Polynomial(())) == gf.poly_divmod(t, xn1, scaled)
 
 
