@@ -67,10 +67,13 @@ class DefiningSet:
     @property
     def source_cosets(self) -> tuple[int, ...]:
         """Leaders of the cosets composing the set, ascending (its members with L[x] = x); OutOfRange unless it is coset-closed."""
-        lead = cosets.leader_map(self.q, self.n)
-        if not np.array_equal(self.mask, self.mask[lead]):  # closed exactly when x and its leader L[x] are both in or both out
-            raise OutOfRange(f"the set is not a union of {self.q}-cyclotomic cosets modulo n = {self.n}")
-        return tuple(np.flatnonzero(self.mask & (lead == np.arange(self.n, dtype=lead.dtype))).tolist())
+        lead, mask, out = cosets.leader_map(self.q, self.n), self.mask, []
+        for lo in range(0, self.n, cosets._BLOCK):  # one block of residues at a time, no n-length temporary
+            if not np.array_equal(mask[lo : lo + cosets._BLOCK], mask[lead[lo : lo + cosets._BLOCK]]):  # closed exactly when x and its leader L[x] are both in or both out
+                raise OutOfRange(f"the set is not a union of {self.q}-cyclotomic cosets modulo n = {self.n}")
+            block, held = lead[lo : lo + cosets._BLOCK], mask[lo : lo + cosets._BLOCK]
+            out += (np.flatnonzero(held & (block == np.arange(lo, lo + block.size, dtype=block.dtype))) + lo).tolist()
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,15 @@
 
 Everything in this module is exact integer arithmetic; no field tables are
 needed.  One cached leader map (built by window doubling) is the only stored
-coset structure, and the leader listings read it; the single-orbit walks
-stay as independent scalar checks.
+coset structure, and the full leader listings read it; the k largest leaders
+come from a block scan down from n - 1 that stores nothing, and the
+single-orbit walks stay as independent scalar checks.
 Closed-form operations enforce their family's constraints ("plus" for
 n = (q^m-1)/(q+1) with m even, "minus" for n = (q^m-1)/(q-1) with q >= 3).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -89,6 +89,7 @@ def cyclotomic_coset(q: int, n: int, s: int) -> CyclotomicCoset:
 
 
 _BLOCK = 1 << 16  # residues per block of the x*s mod n index, and of a leader scan
+_PRODUCTS = 1 << 17  # candidates x powers tested at once by top_k_leaders
 
 
 @lru_cache(maxsize=None)
@@ -152,13 +153,53 @@ def is_coset_leader(q: int, n: int, s: int) -> bool:
     return True
 
 
+def _before_one(pw: np.ndarray, n: int) -> np.ndarray:
+    """The powers q^j mod n in pw up to, not including, the first 1: there the orbit of q closes."""
+    one = np.flatnonzero(pw == 1 % n)
+    return pw[: one[0]] if one.size else pw
+
+
+def _powers(q: int, n: int) -> np.ndarray:
+    """q^1, q^2, ... mod n as int64, doubled from [q]: at most _BLOCK of them, cut before q^j = 1."""
+    pw = np.array([q % n], dtype=np.int64)
+    while pw.size < _BLOCK and not (pw == 1 % n).any():
+        pw = np.concatenate((pw, pw * pw[-1] % n))  # q^(L+1..2L) = q^(1..L) * q^L
+    return _before_one(pw[:_BLOCK], n)
+
+
 def top_k_leaders(q: int, n: int, k: int) -> list[int]:
-    """The k largest coset leaders modulo n, descending (fewer if fewer exist), scanned down the cached leader map."""
+    """The k largest coset leaders modulo n, descending (fewer if fewer exist), with no leader map.
+
+    x is a leader iff x*q^j mod n >= x for j = 1, 2, ... up to where q^j = 1.
+    Scans down from n - 1 one _BLOCK of residues at a time, keeping the
+    candidates that pass each chunk of powers, and stops after the block that
+    holds the k-th leader.  Chunks double in width as candidates thin out,
+    with at most _PRODUCTS products live (each below n^2 < 2^52, exact in
+    int64); the powers come a page of at most _BLOCK at a time, never all
+    ord_n(q) of them.
+    """
     if k < 1:
         raise OutOfRange(f"k={k} must be >= 1")
-    lead = leader_map(q, n)
-    down = (x for lo in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK) for x in reversed(_leaders_in(lead, lo)))
-    return list(itertools.islice(down, k))  # stops at the block holding the k-th
+    _check_coprime(q, n)
+    check_table_size(n)
+    base = _powers(q, n)
+    found: list[int] = []
+    for hi in range(n, 0, -_BLOCK):
+        cand = np.arange(max(0, hi - _BLOCK), hi, dtype=np.int64)
+        page, at, width = base, 0, 1  # page[at:] are the next powers to test
+        while cand.size and at < page.size:
+            width = max(1, min(2 * width, _PRODUCTS // cand.size))  # most candidates fail at the first j or two
+            pw = page[at : at + width]
+            prod = pw[:, None] * cand
+            prod %= n  # in place: one product array live
+            cand = cand[(prod >= cand).all(axis=0)]
+            at += pw.size
+            if at == page.size and cand.size:  # the next page: the base times q^j, the last power tested
+                page, at = _before_one(base * page[-1] % n, n), 0
+        found += reversed(cand.tolist())
+        if len(found) >= k:
+            break
+    return found[:k]
 
 
 def q_adic(a: int, q: int, m: int) -> QAdic:

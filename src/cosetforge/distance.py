@@ -187,17 +187,20 @@ def _class_zeros(t: gf.FieldTower, cols: np.ndarray, mult: np.ndarray):
         yield eq
 
 
-def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
-    """N_0..N_n, the codewords with c_0 = 1 by weight (none when k = 0)."""
-    q, n, k = t.q, code.n, code.dimension
+def _zero_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
+    """Z_0..Z_emax, the codewords with c_0 = 1 by their number e of zeros (weight n - e), up to the largest e met; empty when k = 0."""
+    q, k = t.q, code.dimension
     if q**k > budget:
         raise BudgetExceeded(f"q^k = {q**k} exceeds budget {budget}")
-    hist = np.zeros(n + 1, dtype=np.int64)
+    hist = np.zeros(0, dtype=np.int64)
     if k == 0:
         return hist
     cols, mult = _projective_classes(t, code)
     for eq in _class_zeros(t, cols, mult):
-        hist += np.bincount(eq.astype(np.intp).ravel(), minlength=n + 1)[::-1]  # e zeros is weight n - e
+        z = np.bincount(eq.astype(np.intp).ravel())  # no minlength: as long as the most zeros met, not n + 1
+        if z.size > hist.size:
+            hist = np.pad(hist, (0, z.size - hist.size))
+        hist[: z.size] += z
     assert hist.sum() == q ** (k - 1), f"{hist.sum()} words counted, not the q^(k-1) = {q ** (k - 1)} with c_0 = 1"
     return hist
 
@@ -205,11 +208,12 @@ def _weight_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
 def weight_enumerator(t: gf.FieldTower, code, budget: int | None = None) -> WeightEnumerator:
     """Full A_0..A_n by exhaustive enumeration (BudgetExceeded if too big)."""
     n, q = code.n, t.q
-    hist = _weight_histogram(t, code, effective_budget(budget))
+    zeros = _zero_histogram(t, code, effective_budget(budget))
     counts = [1] + [0] * n
-    for w in map(int, np.flatnonzero(hist)):
-        a, rem = divmod(n * (q - 1) * int(hist[w]), w)
-        assert rem == 0, f"N_{w} = {hist[w]} does not come from a cyclic code"
+    for e in map(int, np.flatnonzero(zeros)):
+        w = n - e  # c_0 = 1, so w >= 1
+        a, rem = divmod(n * (q - 1) * int(zeros[e]), w)
+        assert rem == 0, f"N_{w} = {zeros[e]} does not come from a cyclic code"
         counts[w] = a
     return WeightEnumerator(n=n, counts=tuple(counts))
 
@@ -241,8 +245,8 @@ def min_distance_enumerate(t: gf.FieldTower, code, budget: int | None = None, me
         raise OutOfRange(f"unknown method {method!r}")
     chosen = route(q, n, k, b, method)
     if chosen == "direct-enum":
-        weights = np.flatnonzero(_weight_histogram(t, code, b))
-        d = int(weights[0]) if weights.size else None
+        zeros = _zero_histogram(t, code, b)
+        d = n - (zeros.size - 1) if zeros.size else None  # the last bin, the most zeros met, is nonzero
         return DistanceResult(d=d, method=chosen, enumerated=q**k)
     if chosen == "dual-macwilliams":
         wd = weight_enumerator(t, bch.dual_code(t, code), b)

@@ -5,6 +5,7 @@ frozen values are anchored to an oracle other than the functions under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,8 @@ def check_against_orbit_walks(q, n):
     assert lm.tolist() == want, (q, n)
     assert cosets.coset_leaders(q, n) == tuple(sorted(set(want))), (q, n)
     assert cosets.leader_count(q, n) == len(set(want)), (q, n)
+    for k in (1, 3, 7):
+        assert cosets.top_k_leaders(q, n, k) == sorted(set(want), reverse=True)[:k], (q, n, k)
 
 
 @pytest.mark.parametrize("block", [None, 1, 7])
@@ -115,13 +118,63 @@ def test_leaders_are_read_off_the_cached_map(monkeypatch):
         raise AssertionError("window doubling ran again")
 
     monkeypatch.setattr(cosets, "_check_coprime", no_rebuild)  # the first step of a map build
-    monkeypatch.setattr(cosets, "coset_leaders", no_rebuild)  # top_k_leaders lists only the leaders it returns
-    assert cosets.top_k_leaders(q, n, 3) == list(cosets.largest_leaders_qm1(2, 8))
-    monkeypatch.undo()
-    monkeypatch.setattr(cosets, "_check_coprime", no_rebuild)
     assert cosets.coset_leaders(q, n) == tuple(sorted({min(naive_orbit(q, n, x)) for x in range(n)}))
     after = cosets.leader_map.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def map_top(q, n, k):
+    """The k largest x with L[x] = x on the leader map, descending."""
+    lead = cosets.leader_map(q, n)
+    return np.flatnonzero(lead == np.arange(n))[::-1][:k].tolist()
+
+
+def test_top_k_leaders_leaves_the_leader_map_alone():
+    for q, n in [(2, 255), (3, 2**16 + 3)]:  # one block, and two with the second ragged
+        before = cosets.leader_map.cache_info()
+        got = cosets.top_k_leaders(q, n, 3)
+        assert cosets.leader_map.cache_info() == before  # no build, no cached read
+        assert got == map_top(q, n, 3)
+
+
+def test_top_k_leaders_match_the_map_on_every_small_modulus():
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        for n in range(1, 3000):
+            if math.gcd(q, n) != 1:
+                continue
+            want = map_top(q, n, 7)
+            cosets.leader_map.cache_clear()
+            for k in (1, 3, 7):
+                assert cosets.top_k_leaders(q, n, k) == want[:k], (q, n, k)
+            checked += 1
+    assert checked == 20467
+
+
+# (q, n, ord_n(q)): orbits of 2^18 and 1000002 powers, several pages of 65,536, one of 61,680, and n = 1;
+# 2 is primitive modulo the prime 1000003, whose only leaders are 1 and 0, so every block is scanned
+@pytest.mark.parametrize("q,n,order", [(3, 2**20, 2**18), (2, 1000003, 1000002), (5, 2**20 + 1, 61680), (2, 1, 1)])
+def test_top_k_leaders_match_the_map_on_long_orbits(q, n, order):
+    assert len(cosets.cyclotomic_coset(q, n, 1 % n).elements) == order
+    try:
+        for k in (1, 3, 7):
+            assert cosets.top_k_leaders(q, n, k) == map_top(q, n, k), (q, n, k)
+    finally:
+        cosets.leader_map.cache_clear()
+
+
+def test_top_k_leaders_memory_is_a_block_not_the_modulus():
+    # 2.9M residues scanned in 44 blocks, with orbits of up to 2^20: the peak stays under one byte per
+    # residue, so no array over the n residues (the leader map would take 4 n bytes)
+    q, n = 3, 2**22
+    tracemalloc.start()
+    try:
+        got = cosets.top_k_leaders(q, n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [2621440, 2097152, 1310720]
+    assert peak < n, peak / n
 
 
 def test_leader_map_matches_orbit_walks_on_family_points():

@@ -70,6 +70,12 @@ def pairwise_histogram(t, code):
     return hist
 
 
+def by_weight(zeros, n):
+    """The kernel's Z_0..Z_emax (words by their number e of zeros, the last bin nonzero) as N_0..N_n, N_(n-e) = Z_e."""
+    assert zeros.dtype == np.int64 and (zeros.size == 0 or zeros[-1] > 0)
+    return np.pad(zeros, (0, n + 1 - zeros.size))[::-1]
+
+
 def naive_macwilliams(counts, q):
     """B_j = sum_i A_i K_j(i) / |C| with K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s)."""
     n = len(counts) - 1
@@ -195,8 +201,8 @@ def test_enumerator_matches_pairwise_oracle(q, m, n, delta, dual):
     code = bch.bch_code(t, n, delta)
     if dual:
         code = bch.dual_code(t, code)
-    got = distance._weight_histogram(t, code, distance.DEFAULT_BUDGET)
-    assert got.tolist() == pairwise_histogram(t, code).tolist()
+    got = distance._zero_histogram(t, code, distance.DEFAULT_BUDGET)
+    assert by_weight(got, code.n).tolist() == pairwise_histogram(t, code).tolist()
 
 
 def test_repetition_code_over_two_ragged_blocks():
@@ -205,8 +211,8 @@ def test_repetition_code_over_two_ragged_blocks():
     code = repetition_code(t, n)
     cols, mult = distance._projective_classes(t, code)
     assert cols.tolist() == [[1]] and mult.tolist() == [n]  # every column is (1): one class of multiplicity n
-    got = distance._weight_histogram(t, code, distance.DEFAULT_BUDGET)
-    assert got.tolist() == pairwise_histogram(t, code).tolist() == [0] * n + [1]
+    got = distance._zero_histogram(t, code, distance.DEFAULT_BUDGET)
+    assert by_weight(got, code.n).tolist() == pairwise_histogram(t, code).tolist() == [0] * n + [1]
 
 
 # (q, m, n, delta, dual, D): the enumerations of verify --all and code-queries with the most repeated columns
@@ -241,8 +247,8 @@ def test_weighted_classes_over_tiny_blocks_match_pairwise_oracle(q, m, n, delta,
     code = bch.bch_code(t, n, delta)
     if dual:
         code = bch.dual_code(t, code)
-    got = distance._weight_histogram(t, code, distance.DEFAULT_BUDGET)
-    assert got.tolist() == pairwise_histogram(t, code).tolist()
+    got = distance._zero_histogram(t, code, distance.DEFAULT_BUDGET)
+    assert by_weight(got, code.n).tolist() == pairwise_histogram(t, code).tolist()
 
 
 def test_class_multiplicity_past_float32_is_exact():
@@ -254,15 +260,15 @@ def test_class_multiplicity_past_float32_is_exact():
 
 
 def test_every_default_grid_enumeration_matches_pairwise_oracle(monkeypatch):
-    kernel, seen = distance._weight_histogram, []
+    kernel, seen = distance._zero_histogram, []
 
     def checked(t, code, budget):
         got = kernel(t, code, budget)
-        assert got.tolist() == pairwise_histogram(t, code).tolist(), (t.q, code.n, code.dimension)
+        assert by_weight(got, code.n).tolist() == pairwise_histogram(t, code).tolist(), (t.q, code.n, code.dimension)
         seen.append(t.q**code.dimension)
         return got
 
-    monkeypatch.setattr(distance, "_weight_histogram", checked)
+    monkeypatch.setattr(distance, "_zero_histogram", checked)
     verify.verify_all()
     assert len(seen) == 34 and max(seen) == 7**8  # the largest is the [300, 8] dual over GF(7)
 
