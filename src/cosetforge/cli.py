@@ -3,22 +3,27 @@
 All reported quantities are integers or booleans; JSON output is canonical
 (sorted keys, two-space indent), so re-parsing and re-serializing a report
 reproduces it byte for byte.  Exit codes: 0 success, 1 domain error,
-2 usage error, 3 at least one verification point failed.
+2 usage error, 3 at least one verification point failed, 141 stdout closed
+before the report was written (the reader of a pipe went away; no
+traceback).
 
 `dually-bch --sweep` keeps its verdicts as the boolean vector from
-`bch.dually_bch_sweep` up to output.  Its rows come from one preformatted
-template per format and verdict, written SWEEP_BLOCK rows at a time, so the
-report needs no memory per delta beyond the vector itself (one byte); the
-header fields still go through json.dumps, with the same bytes as dumping
-one dict per delta.
+`bch.dually_bch_sweep` up to output, and its rows are written as uint8
+blocks of at most SWEEP_BLOCK rows, with no Python work per row and no
+memory per delta beyond the vector itself (one byte); the header fields
+still go through json.dumps, with the same bytes as dumping one dict per
+delta.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
+
+import numpy as np
 
 from . import bch, cosets, distance, gf, verify
 from .errors import SWEEP_GUARD, CosetForgeError, OrderTooLarge, UsageError
@@ -66,29 +71,43 @@ def _rows_for(doc) -> list[list[str]]:
 
 
 def _sweep_pieces(doc, fmt: str):
-    """A sweep report in pieces, its rows formatted straight from the verdict vector.
+    """A sweep report in pieces, its rows written as byte blocks from the verdict vector.
 
-    Each format has one row template, preformatted once per verdict (false,
-    true), and row j is that template applied to delta = j + 2.  Rows come
-    SWEEP_BLOCK at a time, so no piece spans the sweep.  The JSON header
-    fields still go through _dump_json, with the rows spliced in where the
-    empty list sits (a sweep is never empty: delta runs over [2, n], n >= 5).
+    The deltas are cut into runs at verdict changes, at powers of ten and
+    every SWEEP_BLOCK rows.  The rows of a run (separators included) differ
+    only in their digits, so each run is one piece: its row template
+    broadcast into a (rows, width) uint8 array, the digit columns filled
+    from np.arange by base-10 arithmetic.  The last row drops its separator.
+    The JSON header fields still go through _dump_json, with the rows
+    spliced in where the empty list sits (a sweep is never empty: delta runs
+    over [2, n], n >= 5).
     """
-    width = max(len("delta"), len(str(doc["n"])))
-    row = {"json": '    {\n      "delta": %d,\n      "verdict": VERDICT\n    }', "csv": "%d,VERDICT", "table": f"%-{width}d  VERDICT"}[fmt]
-    templates = [row.replace("VERDICT", word) for word in ("false", "true")]
+    n, verdicts = doc["n"], doc["sweep"]
+    width = max(len("delta"), len(str(n)))
+    row = {"json": '    {\n      "delta": %s,\n      "verdict": VERDICT\n    },\n', "csv": "%s,VERDICT\n", "table": f"%-{width}s  VERDICT\n"}[fmt]
+    start = row.index("%")  # the first digit column
     if fmt == "json":
         head, _, tail = _dump_json({**doc, "sweep": []}).partition('"sweep": []')
         sep, opening, closing = ",\n", head + '"sweep": [\n', "\n  ]" + tail
     else:
         header = "delta,verdict" if fmt == "csv" else "delta".ljust(width) + "  verdict"
         sep, opening, closing = "\n", header + "\n", "\n"
-    verdicts = doc["sweep"]
+    edges = {0, verdicts.size, *range(SWEEP_BLOCK, verdicts.size, SWEEP_BLOCK)}
+    edges.update(10**k - 2 for k in range(1, len(str(n))))  # delta = 10^k gains a digit
+    edges.update((np.flatnonzero(verdicts[1:] != verdicts[:-1]) + 1).tolist())  # verdict changes
+    edges = sorted(edges)
     yield opening
-    for lo in range(0, verdicts.size, SWEEP_BLOCK):
-        if lo:
-            yield sep
-        yield sep.join([templates[v] % d for d, v in enumerate(verdicts[lo : lo + SWEEP_BLOCK].tolist(), lo + 2)])
+    for lo, hi in zip(edges, edges[1:]):
+        digits = len(str(lo + 2))
+        text = row.replace("VERDICT", "true" if verdicts[lo] else "false") % ("0" * digits)
+        block = np.empty((hi - lo, len(text)), dtype=np.uint8)
+        block[:] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        delta = np.arange(lo + 2, hi + 2, dtype=np.int32)  # n <= SWEEP_GUARD < 2^31
+        for col in reversed(range(start, start + digits)):
+            delta, block[:, col] = np.divmod(delta, 10)
+        block[:, start : start + digits] += ord("0")
+        flat = block.reshape(-1)
+        yield str(flat[: flat.size - len(sep)] if hi == verdicts.size else flat, "ascii")  # decoded from the buffer, no bytes copy
     yield closing
 
 
@@ -112,6 +131,7 @@ def _emit(doc, args) -> None:
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at interpreter exit
 
 
 def _witness_doc(witness) -> dict | None:
@@ -355,7 +375,12 @@ def main(argv=None) -> int:
     except CosetForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
-    _emit(doc, args)
+    try:
+        _emit(doc, args)
+    except BrokenPipeError:
+        # the reader went away (`| head`): send what is left of stdout to devnull, so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, what a shell reports for a writer the signal killed
     return rc
 
 

@@ -6,10 +6,12 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from cosetforge import bch, cli, cosets, gf
+from cosetforge import bch, cli, cosets, gf, verify
 from cosetforge.errors import FamilyConstraint, NotPrime
 
 
@@ -102,21 +104,33 @@ def sweep_points(max_n):
 def old_sweep_report(family, q, m, fmt):
     """The sweep report as built before row templates: one dict per delta, then the generic renderers."""
     n = cosets.family_length(q, m, family)
-    flags = [bool(v) for v in bch.dually_bch_sweep(q, n)]
+    return per_delta_report({"q": q, "m": m, "family": family, "n": n}, [bool(v) for v in bch.dually_bch_sweep(q, n)], fmt)
+
+
+def per_delta_report(header, flags, fmt):
+    """A sweep report with the given header fields and verdicts for delta = 2, 3, ..., built one dict per delta."""
     if fmt == "json":
         runs = []
-        for d, v in zip(range(2, n + 1), flags):
+        for d, v in zip(range(2, header["n"] + 1), flags):
             if v and runs and runs[-1][1] == d - 1:
                 runs[-1][1] = d
             elif v:
                 runs.append([d, d])
-        doc = {"q": q, "m": m, "family": family, "n": n, "sweep": [{"delta": d, "verdict": v} for d, v in zip(range(2, n + 1), flags)], "true_intervals": runs}
+        doc = {**header, "sweep": [{"delta": d, "verdict": v} for d, v in zip(range(2, header["n"] + 1), flags)], "true_intervals": runs}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    rows = [["delta", "verdict"]] + [[str(d), "true" if v else "false"] for d, v in zip(range(2, n + 1), flags)]
+    rows = [["delta", "verdict"]] + [[str(d), "true" if v else "false"] for d, v in zip(range(2, header["n"] + 1), flags)]
     if fmt == "csv":
         return "\n".join(",".join('"' + c.replace('"', '""') + '"' if ("," in c or '"' in c) else c for c in row) for row in rows) + "\n"
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows) + "\n"
+
+
+def assert_same_text(got, want, label):
+    """Equal text, or a failure naming the first line that differs (pytest's own diff of megabyte strings takes minutes)."""
+    if got != want:
+        g, w = got.splitlines(), want.splitlines()
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"{label}: line {i + 1} is {g[i : i + 1]}, want {w[i : i + 1]} ({len(g)} lines, want {len(w)})")
 
 
 SWEEP_POINTS = sweep_points(3000) + [("plus", 16, 4)]  # n = 3855: T3's m = 4 case, true at delta = 2
@@ -128,14 +142,93 @@ def test_sweep_rendering_matches_per_delta_dicts(capsys, tmp_path, family, q, m)
     for fmt in ("json", "csv", "table"):
         want = old_sweep_report(family, q, m, fmt)
         rc, out, err = run_cli(capsys, *argv, "--format", fmt)
-        assert rc == 0 and not err and out == want, fmt
+        assert rc == 0 and not err
+        assert_same_text(out, want, fmt)
         path = tmp_path / f"sweep.{fmt}"
         rc, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
-        assert rc == 0 and out == "" and path.read_text() == want, fmt
+        assert rc == 0 and out == ""
+        assert_same_text(path.read_text(), want, fmt)
     rc, out, _ = run_cli(capsys, *argv)
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
     if (family, q, m) == ("plus", 16, 4):
         assert json.loads(out)["sweep"][0] == {"delta": 2, "verdict": True}
+
+
+SYNTHETIC_VERDICTS = {
+    "all-false": np.zeros(12344, dtype=bool),
+    "all-true": np.ones(12344, dtype=bool),
+    "alternating": np.arange(12344) % 2 == 0,
+    "random": np.random.default_rng(20261019).random(12344) < 0.5,
+    "shortest": np.array([True, False, False, True]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_VERDICTS))
+def test_sweep_rendering_of_synthetic_verdicts(name):
+    # deltas 2..12345 cross four digit counts; the verdicts change at no edge, at every row, or at random
+    verdicts = SYNTHETIC_VERDICTS[name]
+    header = {"q": 2, "m": 4, "family": "plus", "n": verdicts.size + 1}
+    doc = {**header, "sweep": verdicts, "true_intervals": verify._intervals(verdicts, 2)}
+    for fmt in ("json", "csv", "table"):
+        assert_same_text("".join(cli._sweep_pieces(doc, fmt)), per_delta_report(header, verdicts.tolist(), fmt), fmt)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10])
+@pytest.mark.parametrize("family,q,m", [("plus", 3, 4), ("minus", 3, 7), ("plus", 16, 4)])
+def test_sweep_rendering_across_block_edges(capsys, monkeypatch, block, family, q, m):
+    # blocks of 1, 7 and 10 rows put block edges on digit edges (delta = 100 sits at row 98 = 14 * 7) and verdict edges
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+    argv = ["dually-bch", "--q", str(q), "--m", str(m), "--family", family, "--sweep"]
+    for fmt in ("json", "csv", "table"):
+        rc, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert rc == 0
+        assert_same_text(out, old_sweep_report(family, q, m, fmt), fmt)
+    n = cosets.family_length(q, m, family)
+    doc = {"q": q, "m": m, "family": family, "n": n, "sweep": bch.dually_bch_sweep(q, n), "true_intervals": []}
+    assert max(piece.count("\n") for piece in list(cli._sweep_pieces(doc, "csv"))[1:-1]) <= block
+
+
+def test_sweep_rendering_with_six_digit_deltas(capsys):
+    # n = 209,715: six-digit deltas, a six-wide table column and four SWEEP_BLOCK pieces
+    argv = ["dually-bch", "--q", "4", "--m", "10", "--family", "plus", "--sweep"]
+    for fmt in ("csv", "table"):
+        rc, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert rc == 0
+        assert_same_text(out, old_sweep_report("plus", 4, 10, fmt), fmt)
+    assert out.splitlines()[-1] == "209715  true"
+
+
+def test_sweep_report_memory_is_a_few_blocks_not_the_sweep(tmp_path):
+    # the peak is set by SWEEP_BLOCK rows of the widest (json) row, about 3.8 MB here; the whole
+    # json report would be 12.2 MB, and holding it as bytes and text would pass 24 MB
+    n = cosets.family_length(4, 10, "plus")
+    widest = len('    {\n      "delta": %d,\n      "verdict": false\n    },\n' % n)
+    argv = ["dually-bch", "--q", "4", "--m", "10", "--family", "plus", "--sweep", "--out", str(tmp_path / "sweep")]
+    for fmt in ("json", "csv", "table"):
+        assert cli.main(argv + ["--format", fmt]) == 0  # the leader map is warm from here on
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * cli.SWEEP_BLOCK * widest, (fmt, peak)
+
+
+def test_closed_pipe_ends_quietly():
+    # `cosetforge dually-bch ... --sweep | head -1`: the 1.2 MB report outgrows the pipe, so the reader's close stops the writer
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "cosetforge", "dually-bch", "--q", "2", "--m", "16", "--family", "plus", "--sweep"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.communicate(timeout=60)[1].decode()
+        finally:
+            proc.kill()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert proc.returncode == 141  # 128 + SIGPIPE
 
 
 def test_dually_bch_single(capsys):
