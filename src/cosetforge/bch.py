@@ -13,12 +13,15 @@ witnesses are canonical: largest delta, then smallest b.
 A defining set is stored once, as its boolean mask over Z_n (one byte per
 residue) built from ``cosets.leader_map``; its source cosets, and a code's
 q, n, dimension and BCH bound, are read off it, never stored beside it.
-The sweeps read I(delta), the least i >= 1 outside T_perp, off the same
-map: I(delta) is the minimum of L[n - v] over 1 <= v <= delta - 1, because
-the i with n - i in C_v form C_{n-v}, whose least member is L[n - v].
-``recognize_bch`` walks its own orbits on purpose, as the independent check
-of the O(n) sweep, and keeps their leaders in an int32 array (four bytes
-per residue).
+The dually-BCH decision reads I(delta), the least i >= 1 outside T_perp,
+off the same map: I(delta) is the minimum of L[n - v] over
+1 <= v <= delta - 1, because the i with n - i in C_v form C_{n-v}, whose
+least member is L[n - v].  ``dually_bch_sweep`` (every delta) and
+``is_dually_bch`` (one delta) test the same identity on it and build
+neither T nor T_perp.  ``recognize_bch`` walks its own orbits on purpose,
+as the independent check of both, and keeps their leaders in an int32
+array (four bytes per residue); ``code`` and ``dual`` recognise their sets
+with it for any b.
 """
 
 from __future__ import annotations
@@ -240,13 +243,27 @@ def dually_bch_length(q: int, m: int, family: str) -> int:
 
 
 def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
-    """Whether the narrow-sense code of the family is dually-BCH at delta."""
+    """Whether the narrow-sense code of the family is dually-BCH at delta, read off the leader map.
+
+    The sweep's identity at one delta (see dually_bch_sweep): with
+    I = I(delta) = min{L[n - v] : 1 <= v <= delta - 1}, the verdict holds
+    exactly when |{x : L[x] < I}| + |{x : L[x] < delta}| = n + 1.  T_perp
+    holds 0 and never n - 1, so a window whose closure is T_perp covers the
+    singleton coset {0} and cannot wrap: it starts at b = 0, and the longest
+    one is {0, ..., I - 1}, giving the witness (0, I + 1).  The mask of
+    T_perp is read off the map too: x != 0 is a member exactly when
+    L[n - x] >= delta, i.e. n - x lies in no C_1, ..., C_{delta-1}.
+    """
     n = dually_bch_length(q, m, family)
-    tperp = dual_defining_set(defining_set(q, n, delta, 1))
-    if tperp.size == 0:
-        return DuallyBchResult(verdict=True, witness=None, tperp=tperp)
-    rec = recognize_bch(tperp)
-    return DuallyBchResult(verdict=rec.is_bch, witness=rec.witness, tperp=tperp)
+    if not 2 <= delta <= n:
+        raise DeltaOutOfRange(f"delta={delta} outside [2, {show_int(n)}]")
+    lead = cosets.leader_map(q, n)
+    i = int(lead[n - delta + 1 :].min())
+    verdict = np.count_nonzero(lead < i) + np.count_nonzero(lead < delta) == n + 1
+    tperp = np.empty(n, dtype=bool)
+    tperp[0] = True
+    np.greater_equal(lead[:0:-1], delta, out=tperp[1:])
+    return DuallyBchResult(verdict=bool(verdict), witness=(0, i + 1) if verdict else None, tperp=DefiningSet(q, n, tperp))
 
 
 def i_of_delta(q: int, n: int, delta: int) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetforge import bch, cosets, gf
-from cosetforge.errors import DeltaOutOfRange, FamilyConstraint, OutOfRange, TowerMismatch, UsageError
+from cosetforge.errors import DeltaOutOfRange, FamilyConstraint, NotPrime, OrderTooLarge, OutOfRange, TowerMismatch, UsageError
 
 
 def closure(q, n, indices):
@@ -100,19 +100,28 @@ def test_defining_set_rejects_mis_sized_mask():
             bch.DefiningSet(3, 20, bits)
 
 
+def recognized_dual(q, m, family, delta):
+    """Reference decision: build T, then T_perp, and run the general recognition walk on T_perp."""
+    n = bch.dually_bch_length(q, m, family)
+    tperp = bch.dual_defining_set(bch.defining_set(q, n, delta, 1))
+    rec = bch.recognize_bch(tperp)
+    return bch.DuallyBchResult(verdict=rec.is_bch, witness=rec.witness, tperp=tperp)
+
+
 def test_defining_set_memory_per_residue():
     # the set, its dual and the recognition walk cost a few bytes per residue,
-    # not a Python object per member
+    # not a Python object per member; so does the decision read off the map
     q, m, n = 2, 16, 21845
     cosets.leader_map(q, n)  # cached table, shared by every set modulo n
-    tracemalloc.start()
-    try:
-        res = bch.is_dually_bch(q, m, "plus", 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.tperp.n == n and not res.verdict
-    assert peak < 48 * n, peak / n
+    for decide in (recognized_dual, bch.is_dually_bch):
+        tracemalloc.start()
+        try:
+            res = decide(q, m, "plus", 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.tperp.n == n and not res.verdict
+        assert peak < 48 * n, (decide.__name__, peak / n)
 
 
 def test_dual_defining_set_coset_closed():
@@ -275,17 +284,22 @@ def test_defining_set_matches_orbit_walks():
                 assert ds.source_cosets == tuple(sorted({naive_leader(q, n, x) for x in want})), (q, n, b, delta)
 
 
-def family_moduli(max_n):
-    """Distinct (q, n) of both families with m >= 4 and n <= max_n (q >= 11 gives n > 1200)."""
-    out = set()
+def family_points(max_n):
+    """(q, m, family, n) of both families with m >= 4 and n <= max_n, q in {2, ..., 9} (q >= 11 gives n > 1200)."""
+    out = []
     for q in (2, 3, 4, 5, 7, 8, 9):
         for m in range(4, 13):
             for family in ("plus", "minus"):
                 if (family == "plus" and m % 2 == 0) or (family == "minus" and q >= 3):
                     n = cosets.family_length(q, m, family)
                     if n <= max_n:
-                        out.add((q, n))
-    return sorted(out)
+                        out.append((q, m, family, n))
+    return out
+
+
+def family_moduli(max_n):
+    """Distinct (q, n) of the family points with n <= max_n."""
+    return sorted({(q, n) for q, _, _, n in family_points(max_n)})
 
 
 SWEEP_MODULI = [(2, 21), (3, 20), (3, 40), (4, 85)]  # the original grid keeps its test ids first
@@ -341,6 +355,59 @@ def test_dually_bch_sweep_memory_per_residue():
         tracemalloc.stop()
     assert verdicts.size == n - 1
     assert peak <= 48 * n, peak / n
+
+
+@pytest.mark.parametrize("q,m,family,n", family_points(1100))
+def test_is_dually_bch_matches_recognition_on_every_delta(q, m, family, n):
+    # verdict, witness and T_perp, for every delta of every small family point
+    for delta in range(2, n + 1):
+        assert bch.is_dually_bch(q, m, family, delta) == recognized_dual(q, m, family, delta), (q, m, family, delta)
+
+
+BENCH_SWEEP_POINTS = [("plus", 16, 4), ("plus", 2, 14), ("minus", 9, 5), ("minus", 3, 9), ("plus", 4, 8), ("plus", 7, 6), ("minus", 11, 5), ("plus", 2, 16), ("minus", 3, 10)]
+
+
+@pytest.mark.parametrize("family,q,m", BENCH_SWEEP_POINTS)
+def test_is_dually_bch_matches_recognition_around_delta1(family, q, m):
+    # delta1 +- 64 at the sweep points of perfbench's coset-sweeps, where the verdict changes
+    d1 = cosets.delta1_closed_form(q, m, family)
+    verdicts = set()
+    for delta in range(d1 - 64, d1 + 65):
+        res = bch.is_dually_bch(q, m, family, delta)
+        assert res == recognized_dual(q, m, family, delta), (q, m, family, delta)
+        verdicts.add(res.verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "q,m,family,delta,error",
+    [
+        (3, 4, "plus", 1, DeltaOutOfRange),  # below 2
+        (3, 4, "plus", 21, DeltaOutOfRange),  # n + 1
+        (2, 3, "plus", 2, FamilyConstraint),  # m < 4
+        (6, 4, "plus", 2, NotPrime),  # n = 185, q not a prime power
+        (2, 28, "plus", 2, OrderTooLarge),  # n = 89,478,485 over ORDER_GUARD
+        (2, 28, "plus", 1, OrderTooLarge),  # the length is checked before delta
+    ],
+)
+def test_is_dually_bch_raises_as_recognition_does(q, m, family, delta, error):
+    for decide in (bch.is_dually_bch, recognized_dual):
+        with pytest.raises(error):
+            decide(q, m, family, delta)
+
+
+def test_is_dually_bch_needs_no_defining_set_or_recognition(monkeypatch):
+    # q = 2, m = 20: T_perp at delta = 3 has 349,505 members, one Python step each in the recognition walk
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_dually_bch reads the leader map alone")
+
+    for name in ("defining_set", "dual_defining_set", "recognize_bch"):
+        monkeypatch.setattr(bch, name, refuse)
+    res = bch.is_dually_bch(2, 20, "plus", 3)
+    assert res.verdict is False and res.witness is None and res.tperp.size == 349505  # a Python bool, as JSON needs
+    d1 = cosets.delta1_closed_form(2, 20, "plus")  # CLM-T2: dually-BCH exactly from delta1 + 1 on
+    assert not bch.is_dually_bch(2, 20, "plus", d1).verdict
+    assert bch.is_dually_bch(2, 20, "plus", d1 + 1).verdict is True
 
 
 def test_monotonicity_of_defining_sets():
