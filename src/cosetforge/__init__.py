@@ -31,7 +31,6 @@ from .cosets import (
     MINUS,
     PLUS,
     CyclotomicCoset,
-    QAdic,
     ThetaDigits,
     coset_leaders,
     cyclotomic_coset,
@@ -42,8 +41,6 @@ from .cosets import (
     largest_leaders_qm1,
     leader_map,
     lift_correspondence_check,
-    q_adic,
-    q_adic_gt,
     second_largest_m4_plus,
     theta_digits,
     top_k_leaders,

@@ -17,11 +17,11 @@ The dually-BCH decision reads I(delta), the least i >= 1 outside T_perp,
 off the same map: I(delta) is the minimum of L[n - v] over
 1 <= v <= delta - 1, because the i with n - i in C_v form C_{n-v}, whose
 least member is L[n - v].  ``dually_bch_sweep`` (every delta) and
-``is_dually_bch`` (one delta) test the same identity on it and build
-neither T nor T_perp.  ``recognize_bch`` walks its own orbits on purpose,
-as the independent check of both, and keeps their leaders in an int32
-array (four bytes per residue); ``code`` and ``dual`` recognise their sets
-with it for any b.
+``is_dually_bch`` (one delta) test the same identity on it, build
+neither T nor T_perp, and return only verdicts (and the one witness).
+``recognize_bch`` walks its own orbits on purpose, as the independent
+check of both, and keeps their leaders in an int32 array (four bytes per
+residue); ``code`` and ``dual`` recognise their sets with it for any b.
 """
 
 from __future__ import annotations
@@ -84,22 +84,19 @@ class Recognition:
     """Outcome of the BCH-shape test for an exponent set.
 
     ``witness`` is the canonical (b, delta) with delta maximal and then b
-    minimal over the scanned anchors; ``c0_anchored`` records whether a
-    witness starting at b = 0 exists.  ``empty`` marks the empty-set case,
+    minimal over the scanned anchors.  ``empty`` marks the empty-set case,
     which carries no witness at all.
     """
 
     is_bch: bool
     witness: tuple[int, int] | None
     empty: bool = False
-    c0_anchored: bool = False
 
 
 @dataclass(frozen=True)
 class DuallyBchResult:
     verdict: bool
     witness: tuple[int, int] | None
-    tperp: DefiningSet
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,7 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
         b = min(((x + 1) % n for x in range(n) if x * q % n != x), default=None)
         if b is None:
             return Recognition(is_bch=False, witness=None)
-        return Recognition(is_bch=True, witness=(b, n), c0_anchored=(n - 1) * q % n != n - 1)
+        return Recognition(is_bch=True, witness=(b, n))
 
     runs = _runs(ds.mask)  # before leader_of, so their temporaries never coexist
     sources = ds.source_cosets
@@ -207,7 +204,6 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
     total = len(sources)
 
     best: tuple[int, int] | None = None
-    c0 = False
     seen = bytearray(n)  # seen[lead]: coset lead is covered from b to the run end
     marks = np.frombuffer(seen, dtype=np.uint8)  # the same bytes, for unmarking a run at once
     for start, length in zip(*runs):
@@ -220,13 +216,12 @@ def recognize_bch(ds: DefiningSet) -> Recognition:
                 covered += 1
             if lead == b and covered == total:
                 delta = length - j + 1
-                c0 = c0 or b == 0
                 if best is None or delta > best[1] or (delta == best[1] and b < best[0]):
                     best = (b, delta)
         # unmark this run's cosets; only the last run (it ends just before the
         # first non-member) can wrap past n - 1, and no run follows it
         marks[leader_of[start : start + length]] = 0
-    return Recognition(is_bch=best is not None, witness=best, c0_anchored=c0)
+    return Recognition(is_bch=best is not None, witness=best)
 
 
 def dually_bch_length(q: int, m: int, family: str) -> int:
@@ -250,9 +245,8 @@ def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
     exactly when |{x : L[x] < I}| + |{x : L[x] < delta}| = n + 1.  T_perp
     holds 0 and never n - 1, so a window whose closure is T_perp covers the
     singleton coset {0} and cannot wrap: it starts at b = 0, and the longest
-    one is {0, ..., I - 1}, giving the witness (0, I + 1).  The mask of
-    T_perp is read off the map too: x != 0 is a member exactly when
-    L[n - x] >= delta, i.e. n - x lies in no C_1, ..., C_{delta-1}.
+    one is {0, ..., I - 1}, giving the witness (0, I + 1).  Neither T nor
+    T_perp is built: the two comparisons are the only n-length temporaries.
     """
     n = dually_bch_length(q, m, family)
     if not 2 <= delta <= n:
@@ -260,10 +254,7 @@ def is_dually_bch(q: int, m: int, family: str, delta: int) -> DuallyBchResult:
     lead = cosets.leader_map(q, n)
     i = int(lead[n - delta + 1 :].min())
     verdict = np.count_nonzero(lead < i) + np.count_nonzero(lead < delta) == n + 1
-    tperp = np.empty(n, dtype=bool)
-    tperp[0] = True
-    np.greater_equal(lead[:0:-1], delta, out=tperp[1:])
-    return DuallyBchResult(verdict=bool(verdict), witness=(0, i + 1) if verdict else None, tperp=DefiningSet(q, n, tperp))
+    return DuallyBchResult(verdict=bool(verdict), witness=(0, i + 1) if verdict else None)
 
 
 def i_of_delta(q: int, n: int, delta: int) -> int:

@@ -36,16 +36,6 @@ class CyclotomicCoset:
 
 
 @dataclass(frozen=True)
-class QAdic:
-    """Base-q digit expansion of ``value`` padded to m digits, most significant first."""
-
-    value: int
-    q: int
-    m: int
-    digits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ThetaDigits:
     """Digit structure of sum(q^ceil(m*t/(q-1) - 1) for t = 1..q-1) in base q.
 
@@ -200,27 +190,6 @@ def top_k_leaders(q: int, n: int, k: int) -> list[int]:
         if len(found) >= k:
             break
     return found[:k]
-
-
-def q_adic(a: int, q: int, m: int) -> QAdic:
-    """Base-q expansion of a with exactly m digits, most significant first."""
-    if q < 2 or m < 1:
-        raise OutOfRange(f"need q >= 2 and m >= 1, got q={q}, m={m}")
-    if not 0 <= a < q**m:
-        raise OutOfRange(f"a={a} outside [0, {q}^{m})")
-    digits = []
-    x = a
-    for _ in range(m):
-        digits.append(x % q)
-        x //= q
-    return QAdic(value=a, q=q, m=m, digits=tuple(reversed(digits)))
-
-
-def q_adic_gt(a: QAdic, b: QAdic) -> bool:
-    """Lexicographic comparison of two expansions (agrees with integer >)."""
-    if a.q != b.q or a.m != b.m:
-        raise OutOfRange("expansions must share base and digit count")
-    return a.digits > b.digits
 
 
 def family_length(q: int, m: int, family: str) -> int:

@@ -304,29 +304,35 @@ def _chk_lb1002(q, m, budget) -> list[dict]:
     return _dual_distance_sweep_points(q, m, budget, range(2, q), bound, "CLM-LB1002")  # 2 <= delta <= q-1 (empty for q = 2)
 
 
-def _sweep_claim(q, m, family: str, predicate) -> list[dict]:
+def _sweep_claim(q, m, family: str, theorem3: bool = False) -> list[dict]:
     n = cosets.family_length(q, m, family)
     d1 = cosets.top_k_leaders(q, n, 1)[0]
     observed = _intervals(bch.dually_bch_sweep(q, n), 2)
-    expected = _intervals([predicate(d, d1, n, m) for d in range(2, n + 1)], 2)
-    return [_point({"q": q, "m": m, "n": n, "delta1": d1}, expected, observed)]
+    return [_point({"q": q, "m": m, "n": n, "delta1": d1}, _theorem_intervals(d1, n, theorem3 and m == 4), observed)]
+
+
+def _theorem_intervals(d1: int, n: int, m4: bool) -> list[list[int]]:
+    """The deltas in [2, n] at which Theorems 2, 3 and 5 call the code dually-BCH, as sweep intervals.
+
+    Each says delta >= delta1 + 1; Theorem 3 at m = 4 (``m4``) adds delta = 2
+    and delta = delta1, one run with the rest when delta1 <= 3.  delta1 is the
+    largest coset leader, so 1 <= delta1 <= n - 1 and no run is empty.
+    """
+    if not m4:
+        return [[d1 + 1, n]]
+    return [[2, 2], [d1, n]] if d1 > 3 else [[2, n]]
 
 
 def _chk_t2(q, m, budget) -> list[dict]:
-    return _sweep_claim(q, m, cosets.PLUS, lambda d, d1, n, m: d >= d1 + 1) if q == 2 else []
+    return _sweep_claim(q, m, cosets.PLUS) if q == 2 else []
 
 
 def _chk_t3(q, m, budget) -> list[dict]:
-    def predicate(d, d1, n, m):
-        if m == 4:
-            return d == 2 or d >= d1
-        return d >= d1 + 1
-
-    return _sweep_claim(q, m, cosets.PLUS, predicate) if q > 2 else []
+    return _sweep_claim(q, m, cosets.PLUS, theorem3=True) if q > 2 else []
 
 
 def _chk_t5(q, m, budget) -> list[dict]:
-    return _sweep_claim(q, m, cosets.MINUS, lambda d, d1, n, m: d >= d1 + 1)
+    return _sweep_claim(q, m, cosets.MINUS)
 
 
 def _direct_theta_expansion(q: int, m: int) -> list[int]:

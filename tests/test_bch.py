@@ -103,25 +103,26 @@ def test_defining_set_rejects_mis_sized_mask():
 def recognized_dual(q, m, family, delta):
     """Reference decision: build T, then T_perp, and run the general recognition walk on T_perp."""
     n = bch.dually_bch_length(q, m, family)
-    tperp = bch.dual_defining_set(bch.defining_set(q, n, delta, 1))
-    rec = bch.recognize_bch(tperp)
-    return bch.DuallyBchResult(verdict=rec.is_bch, witness=rec.witness, tperp=tperp)
+    rec = bch.recognize_bch(bch.dual_defining_set(bch.defining_set(q, n, delta, 1)))
+    return bch.DuallyBchResult(verdict=rec.is_bch, witness=rec.witness)
 
 
 def test_defining_set_memory_per_residue():
     # the set, its dual and the recognition walk cost a few bytes per residue,
-    # not a Python object per member; so does the decision read off the map
+    # not a Python object per member; the decision read off the map keeps no
+    # mask, only its two comparisons of the map (a byte per residue each, one
+    # at a time)
     q, m, n = 2, 16, 21845
     cosets.leader_map(q, n)  # cached table, shared by every set modulo n
-    for decide in (recognized_dual, bch.is_dually_bch):
+    for decide, bound in ((recognized_dual, 48 * n), (bch.is_dually_bch, 1.5 * n)):
         tracemalloc.start()
         try:
             res = decide(q, m, "plus", 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.tperp.n == n and not res.verdict
-        assert peak < 48 * n, (decide.__name__, peak / n)
+        assert not res.verdict
+        assert peak < bound, (decide.__name__, peak / n)
 
 
 def test_dual_defining_set_coset_closed():
@@ -173,20 +174,19 @@ def per_anchor_scan(ds):
         candidates = [(x + 1) % n for x in range(n) if x * ds.q % n != x]
         if not candidates:
             return bch.Recognition(is_bch=False, witness=None)
-        return bch.Recognition(is_bch=True, witness=(min(candidates), n), c0_anchored=(n - 1) * ds.q % n != n - 1)
+        return bch.Recognition(is_bch=True, witness=(min(candidates), n))
     total = len(ds.source_cosets)
-    best, c0 = None, False
+    best = None
     for b in sorted(set(ds.source_cosets) | ({0} if 0 in exps else set())):
         length = 0
         while length < n and (b + length) % n in exps:
             length += 1
         if len({naive_leader(ds.q, n, b + j) for j in range(length)}) == total:
-            c0 = c0 or b == 0
             if best is None or length + 1 > best[1] or (length + 1 == best[1] and b < best[0]):
                 best = (b, length + 1)
     if best is None:
         return bch.Recognition(is_bch=False, witness=None)
-    return bch.Recognition(is_bch=True, witness=best, c0_anchored=c0)
+    return bch.Recognition(is_bch=True, witness=best)
 
 
 def recognition_sets():
@@ -232,7 +232,7 @@ def test_recognize_bch_matches_per_anchor_scan():
 def test_recognize_bch_examples():
     tperp = bch.dual_defining_set(bch.defining_set(3, 20, 2, 1))
     rec = bch.recognize_bch(tperp)
-    assert rec.is_bch and rec.witness == (0, 12) and rec.c0_anchored
+    assert rec.is_bch and rec.witness == (0, 12)  # anchored at b = 0
 
     c5 = bch.DefiningSet(2, 21, mask(21, closure(2, 21, [5])))
     rec5 = bch.recognize_bch(c5)
@@ -259,7 +259,8 @@ def test_is_dually_bch_examples():
     assert r.verdict and r.witness == (0, 12)
     assert not bch.is_dually_bch(3, 4, "plus", 5).verdict
     r = bch.is_dually_bch(2, 6, "plus", 10)
-    assert r.verdict and set(r.tperp.exponents) == {0}
+    assert r.verdict and r.witness == (0, 2)
+    assert bch.dual_defining_set(bch.defining_set(2, 21, 10)).exponents == {0}
     with pytest.raises(FamilyConstraint):
         bch.is_dually_bch(3, 5, "plus", 2)
     with pytest.raises(DeltaOutOfRange):
@@ -359,7 +360,7 @@ def test_dually_bch_sweep_memory_per_residue():
 
 @pytest.mark.parametrize("q,m,family,n", family_points(1100))
 def test_is_dually_bch_matches_recognition_on_every_delta(q, m, family, n):
-    # verdict, witness and T_perp, for every delta of every small family point
+    # verdict and witness, for every delta of every small family point
     for delta in range(2, n + 1):
         assert bch.is_dually_bch(q, m, family, delta) == recognized_dual(q, m, family, delta), (q, m, family, delta)
 
@@ -398,13 +399,15 @@ def test_is_dually_bch_raises_as_recognition_does(q, m, family, delta, error):
 
 def test_is_dually_bch_needs_no_defining_set_or_recognition(monkeypatch):
     # q = 2, m = 20: T_perp at delta = 3 has 349,505 members, one Python step each in the recognition walk
+    assert bch.dual_defining_set(bch.defining_set(2, bch.dually_bch_length(2, 20, "plus"), 3)).size == 349505
+
     def refuse(*args, **kwargs):
         raise AssertionError("is_dually_bch reads the leader map alone")
 
     for name in ("defining_set", "dual_defining_set", "recognize_bch"):
         monkeypatch.setattr(bch, name, refuse)
     res = bch.is_dually_bch(2, 20, "plus", 3)
-    assert res.verdict is False and res.witness is None and res.tperp.size == 349505  # a Python bool, as JSON needs
+    assert res.verdict is False and res.witness is None  # a Python bool, as JSON needs
     d1 = cosets.delta1_closed_form(2, 20, "plus")  # CLM-T2: dually-BCH exactly from delta1 + 1 on
     assert not bch.is_dually_bch(2, 20, "plus", d1).verdict
     assert bch.is_dually_bch(2, 20, "plus", d1 + 1).verdict is True

@@ -206,28 +206,6 @@ def test_top_k_leaders_examples():
     assert cosets.top_k_leaders(5, 1, 3) == [0]  # fewer leaders than k
 
 
-def test_q_adic():
-    assert cosets.q_adic(11, 2, 4).digits == (1, 0, 1, 1)
-    assert cosets.q_adic(3**4 - 1, 3, 4).digits == (2, 2, 2, 2)
-    with pytest.raises(OutOfRange):
-        cosets.q_adic(16, 2, 4)
-    with pytest.raises(OutOfRange):
-        cosets.q_adic(-1, 2, 4)
-
-
-@pytest.mark.parametrize("q,m", [(2, 6), (3, 4), (5, 3)])
-def test_q_adic_gt_matches_integer_order(q, m):
-    values = [cosets.q_adic(a, q, m) for a in range(q**m)]
-    for a in range(q**m):
-        for b in range(q**m):
-            assert cosets.q_adic_gt(values[a], values[b]) == (a > b)
-
-
-def test_q_adic_gt_rejects_mixed_bases():
-    with pytest.raises(OutOfRange):
-        cosets.q_adic_gt(cosets.q_adic(1, 2, 4), cosets.q_adic(1, 3, 4))
-
-
 def test_family_length():
     assert cosets.family_length(3, 4, "plus") == 20
     assert cosets.family_length(3, 4, "minus") == 40

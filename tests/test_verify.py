@@ -86,6 +86,48 @@ def test_intervals_match_loop_oracle():
             assert all(type(x) is int for run in got for x in run)
 
 
+def predicate_intervals(claim_id, m, d1, n):
+    """The theorems' expected side as one predicate value per delta in [2, n], compressed by _intervals."""
+    if claim_id == "CLM-T3" and m == 4:
+        flags = [d == 2 or d >= d1 for d in range(2, n + 1)]
+    else:
+        flags = [d >= d1 + 1 for d in range(2, n + 1)]
+    return verify._intervals(flags, 2)
+
+
+SWEEP_CLAIM_FAMILY = {"CLM-T2": "plus", "CLM-T3": "plus", "CLM-T5": "minus"}
+SWEEP_CLAIM_POINTS = {"CLM-T2": 5, "CLM-T3": 11, "CLM-T5": 17}  # default pairs and sweep points each claim takes
+# the nine dually-bch --sweep points of perfbench's coset-sweeps workload
+BENCH_SWEEP_POINTS = [("plus", 16, 4), ("plus", 2, 14), ("minus", 9, 5), ("minus", 3, 9), ("plus", 4, 8), ("plus", 7, 6), ("minus", 11, 5), ("plus", 2, 16), ("minus", 3, 10)]
+
+
+@pytest.mark.parametrize("claim_id", sorted(SWEEP_CLAIM_FAMILY))
+def test_sweep_claims_expect_the_predicate_intervals(claim_id):
+    # the closed-form expected side of CLM-T2/T3/T5 against the per-delta predicate it replaced,
+    # on every default pair and every coset-sweeps sweep point the claim takes (T2: q = 2, T3: q > 2)
+    family = SWEEP_CLAIM_FAMILY[claim_id]
+    claim = next(c for c in verify.list_claims() if c.id == claim_id)
+    pairs = set(claim.default_pairs) | {(q, m) for fam, q, m in BENCH_SWEEP_POINTS if fam == family}
+    checked = 0
+    for q, m in sorted(pairs):
+        for point in verify.verify_claim(claim_id, grid={"q": [q], "m": [m]}).points:
+            params = point["params"]
+            want = predicate_intervals(claim_id, m, params["delta1"], params["n"])
+            assert point["expected"] == want, (claim_id, q, m)
+            assert json.dumps(point["expected"]) == json.dumps(want)
+            assert point["status"] == "pass"
+            checked += 1
+    assert checked == SWEEP_CLAIM_POINTS[claim_id]
+
+
+@pytest.mark.parametrize("m4", [False, True])
+def test_theorem_intervals_match_the_predicate_on_every_delta1(m4):
+    m = 4 if m4 else 6
+    for n in range(5, 70):
+        for d1 in range(1, n):
+            assert verify._theorem_intervals(d1, n, m4) == predicate_intervals("CLM-T3", m, d1, n), (n, d1, m4)
+
+
 def test_t2_and_t5_small():
     assert verify.verify_claim("CLM-T2", grid={"q": [2], "m": [6]}).ok()
     rep = verify.verify_claim("CLM-T5", grid={"q": [3], "m": [4]})
