@@ -288,8 +288,13 @@ def dually_bch_sweep(q: int, n: int) -> np.ndarray:
     prefix minimum of L[n - 1], ..., L[n - delta + 1] (see i_of_delta_sweep).
     """
     lead = cosets.leader_map(q, n)
-    cum = np.cumsum(np.bincount(lead, minlength=n))
-    return cum[np.minimum.accumulate(lead[:0:-1]) - 1] + cum[1:] == n + 1  # cum[1:] is cum[delta - 1]
+    cum = np.bincount(lead, minlength=n).astype(np.int32)  # counts <= n < 2^31: int32 throughout, in place
+    np.add.accumulate(cum, out=cum)
+    low = np.minimum.accumulate(lead[:0:-1])
+    low -= 1
+    hit = cum[low]
+    hit += cum[1:]  # cum[1:] is cum[delta - 1]
+    return hit == n + 1
 
 
 # --------------------------------------------------------------------------

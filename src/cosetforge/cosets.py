@@ -3,8 +3,9 @@
 Everything in this module is exact integer arithmetic; no field tables are
 needed.  One cached leader map (built by window doubling) is the only stored
 coset structure, and the full leader listings read it; the k largest leaders
-come from a block scan down from n - 1 that stores nothing, and the
-single-orbit walks stay as independent scalar checks.
+come from a block scan down from the ceiling n - (n-1)//q (no leader lies at
+or above it) that stores nothing, and the single-orbit walks stay as
+independent scalar checks.
 Closed-form operations enforce their family's constraints ("plus" for
 n = (q^m-1)/(q+1) with m even, "minus" for n = (q^m-1)/(q-1) with q >= 3).
 """
@@ -78,7 +79,7 @@ def cyclotomic_coset(q: int, n: int, s: int) -> CyclotomicCoset:
     return CyclotomicCoset(n=n, q=q, leader=min(orbit), elements=tuple(sorted(orbit)), size=len(orbit))
 
 
-_BLOCK = 1 << 16  # residues per block of the x*s mod n index, and of a leader scan
+_BLOCK = 1 << 16  # residues per block of the x*s mod n index, and the largest block of a leader scan
 _PRODUCTS = 1 << 17  # candidates x powers tested at once by top_k_leaders
 
 
@@ -161,12 +162,14 @@ def top_k_leaders(q: int, n: int, k: int) -> list[int]:
     """The k largest coset leaders modulo n, descending (fewer if fewer exist), with no leader map.
 
     x is a leader iff x*q^j mod n >= x for j = 1, 2, ... up to where q^j = 1.
-    Scans down from n - 1 one _BLOCK of residues at a time, keeping the
-    candidates that pass each chunk of powers, and stops after the block that
-    holds the k-th leader.  Chunks double in width as candidates thin out,
-    with at most _PRODUCTS products live (each below n^2 < 2^52, exact in
-    int64); the powers come a page of at most _BLOCK at a time, never all
-    ord_n(q) of them.
+    No x >= n - (n-1)//q is one: with y = n - x, 1 <= q*y < n, so
+    x*q mod n = n - q*y < x.  So the scan starts below that ceiling and
+    goes down in blocks of _BLOCK >> 6 residues, doubling up to _BLOCK,
+    keeping the candidates that pass each chunk of powers, and stops after
+    the block that holds the k-th leader.  Chunks double in width as
+    candidates thin out, with at most _PRODUCTS products live (each below
+    n^2 < 2^52, exact in int64); the powers come a page of at most _BLOCK at
+    a time, never all ord_n(q) of them.
     """
     if k < 1:
         raise OutOfRange(f"k={k} must be >= 1")
@@ -174,8 +177,9 @@ def top_k_leaders(q: int, n: int, k: int) -> list[int]:
     check_table_size(n)
     base = _powers(q, n)
     found: list[int] = []
-    for hi in range(n, 0, -_BLOCK):
-        cand = np.arange(max(0, hi - _BLOCK), hi, dtype=np.int64)
+    hi, size = n - (n - 1) // q, max(1, _BLOCK >> 6)
+    while hi > 0 and len(found) < k:
+        cand = np.arange(max(0, hi - size), hi, dtype=np.int64)
         page, at, width = base, 0, 1  # page[at:] are the next powers to test
         while cand.size and at < page.size:
             width = max(1, min(2 * width, _PRODUCTS // cand.size))  # most candidates fail at the first j or two
@@ -187,8 +191,7 @@ def top_k_leaders(q: int, n: int, k: int) -> list[int]:
             if at == page.size and cand.size:  # the next page: the base times q^j, the last power tested
                 page, at = _before_one(base * page[-1] % n, n), 0
         found += reversed(cand.tolist())
-        if len(found) >= k:
-            break
+        hi, size = hi - size, min(2 * size, _BLOCK)
     return found[:k]
 
 

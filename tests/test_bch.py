@@ -344,7 +344,7 @@ def test_dually_bch_sweep_matches_recognition_on_every_modulus(q):
 
 
 def test_dually_bch_sweep_memory_per_residue():
-    # the sweep reads I(delta) off the cached leader map: a few int64
+    # the sweep reads I(delta) off the cached leader map: a few int32
     # temporaries per delta, no table of its own
     q, n = 2, 21845
     cosets.leader_map(q, n)
@@ -356,6 +356,23 @@ def test_dually_bch_sweep_memory_per_residue():
         tracemalloc.stop()
     assert verdicts.size == n - 1
     assert peak <= 48 * n, peak / n
+
+
+def test_dually_bch_sweep_counts_are_int32():
+    # counts and their sums stay below n + 1 < 2^31, so they are int32 and
+    # summed in place: the peak is np.bincount's own (its intp copy of the
+    # map and its int64 counts, 16 bytes per residue), not int64 prefix sums
+    # and gathers beside it (20 bytes per residue)
+    q, n = 2, 349525
+    cosets.leader_map(q, n)
+    tracemalloc.start()
+    try:
+        verdicts = bch.dually_bch_sweep(q, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts.dtype == bool and verdicts.size == n - 1
+    assert peak <= 17 * n, peak / n
 
 
 @pytest.mark.parametrize("q,m,family,n", family_points(1100))

@@ -137,13 +137,21 @@ def test_top_k_leaders_leaves_the_leader_map_alone():
         assert got == map_top(q, n, 3)
 
 
+def ceiling(q, n):
+    """n - (n-1)//q: top_k_leaders starts its scan below this residue."""
+    return n - (n - 1) // q
+
+
 def test_top_k_leaders_match_the_map_on_every_small_modulus():
+    # each map also checks the ceiling the scan starts under: no x >= n - (n-1)//q has L[x] = x
     checked = 0
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         for n in range(1, 3000):
             if math.gcd(q, n) != 1:
                 continue
             want = map_top(q, n, 7)
+            top = ceiling(q, n)
+            assert not (cosets.leader_map(q, n)[top:] == np.arange(top, n)).any(), (q, n)
             cosets.leader_map.cache_clear()
             for k in (1, 3, 7):
                 assert cosets.top_k_leaders(q, n, k) == want[:k], (q, n, k)
@@ -163,9 +171,51 @@ def test_top_k_leaders_match_the_map_on_long_orbits(q, n, order):
         cosets.leader_map.cache_clear()
 
 
+def test_no_leader_lies_at_or_above_the_ceiling_at_the_edges():
+    # n = 1 (only 0), n = 2 under odd q (0 and 1 both lead), and q > n: the ceiling is n itself, so the
+    # scan still starts at n - 1, a leader in every case here but (11, 7)
+    for q, n, want in [(2, 1, [0]), (7, 1, [0]), (3, 2, [1, 0]), (5, 2, [1, 0]), (11, 7, [3, 1, 0]), (101, 10, [9, 8, 7])]:
+        assert ceiling(q, n) == n
+        assert cosets.top_k_leaders(q, n, 3) == want == sorted(set(naive_leader_map(q, n)), reverse=True)[:3], (q, n)
+
+
+@pytest.mark.parametrize("block", [4, 16])
+def test_top_k_leaders_across_tiny_blocks(block, monkeypatch):
+    # first blocks of one residue doubling to `block` (and pages of `block` powers) cross the ceiling,
+    # every block edge and the lowest, ragged block; the oracle is the orbit walks, not the patched map
+    monkeypatch.setattr(cosets, "_BLOCK", block)
+    checked = 0
+    for q in (2, 3, 4, 5, 7):
+        for n in range(1, 120):
+            if math.gcd(q, n) != 1:
+                continue
+            want = sorted(set(naive_leader_map(q, n)), reverse=True)
+            for k in (1, 3, 7):
+                assert cosets.top_k_leaders(q, n, k) == want[:k], (block, q, n, k)
+            checked += 1
+    assert checked == 398
+
+
+def test_top_k_leaders_memory_at_the_benchmark_points():
+    # the four cosets --top 3 points of perfbench's coset-sweeps (n = 0.2M to 1.4M): the scan starts a
+    # few hundred residues above delta1 in a block of _BLOCK >> 6, so it peaks well under 1 MiB traced;
+    # starting from n - 1 in full blocks peaked at 1.7-2.5 MiB
+    for q, m, family in [(4, 10, "plus"), (2, 20, "plus"), (3, 13, "minus"), (2, 22, "plus")]:
+        n = cosets.family_length(q, m, family)
+        tracemalloc.start()
+        try:
+            got = cosets.top_k_leaders(q, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] == cosets.delta1_closed_form(q, m, family)
+        assert peak < 2**20, (q, m, family, peak)
+
+
 def test_top_k_leaders_memory_is_a_block_not_the_modulus():
-    # 2.9M residues scanned in 44 blocks, with orbits of up to 2^20: the peak stays under one byte per
-    # residue, so no array over the n residues (the leader map would take 4 n bytes)
+    # 1.5M residues scanned in 28 blocks (from the ceiling 2,796,203 down), with orbits of up to 2^20:
+    # the peak stays under one byte per residue, so no array over the n residues (the leader map would
+    # take 4 n bytes)
     q, n = 3, 2**22
     tracemalloc.start()
     try:
