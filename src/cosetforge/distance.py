@@ -2,9 +2,14 @@
 
 Every code here is cyclic, c = u g with deg u < k.  A shift and a scaling
 move any nonzero codeword to one with c_0 = 1 and keep its weight, and only
-the row x^0 g touches c_0, so enumeration visits just the q^(k-1) words
-with u_0 = g_0^-1.  Their weight histogram N_w gives the minimum distance
-(the first w >= 1 with N_w > 0) and A_w = n (q-1) N_w / w.
+the row x^0 g touches c_0, so a weight distribution visits just the q^(k-1)
+words with u_0 = g_0^-1: their histogram N_w gives A_w = n (q-1) N_w / w.
+A minimum distance needs fewer.  Row x^j g covers positions j..j+n-k, so
+for k >= 2 only x^(k-1) g reaches c_(n-1) (where g_(n-k) = 1): the words
+with u_(k-1) = 0 have c_(n-1) = 0, so d < n, and a lightest word has,
+cyclically, a zero just before a nonzero, which a shift moves to positions
+n-1 and 0.  So d is n minus the most zeros over the q^(k-2) words of the
+first k - 1 rows with u_0 = g_0^-1.
 
 A word is zero at position i exactly when u . G_i = 0 for the column G_i
 of the k x n matrix [base; x g; ...; x^(k-1) g], and scaling G_i by a
@@ -109,7 +114,7 @@ def _decode(keys: np.ndarray, q: int, k: int, dtype) -> np.ndarray:
     return cols
 
 
-def _projective_classes(t: gf.FieldTower, code) -> tuple[np.ndarray, np.ndarray]:
+def _projective_classes(t: gf.FieldTower, code, rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Columns of the k x n matrix [base; x g; ...; x^(k-1) g] up to GF(q)* scaling.
 
     Returns the k x D class columns, each with first nonzero entry 1, and
@@ -117,9 +122,10 @@ def _projective_classes(t: gf.FieldTower, code) -> tuple[np.ndarray, np.ndarray]
     x^(k-1) g] are read as base-q keys a block of positions at a time.
     When q^k <= n the keys are bincounted and only the distinct columns are
     then normalised and merged; otherwise every column is normalised and
-    the n keys are sorted.
+    the n keys are sorted.  Given `rows`, k is that many first rows, not
+    the dimension; their all-zero columns form one class of zero columns.
     """
-    q, n, k = t.q, code.n, code.dimension
+    q, n, k = t.q, code.n, code.dimension if rows is None else rows
     dt = np.min_scalar_type(q - 1)
     kt = np.min_scalar_type(q**k)
     mul = np.asarray(t.q_mul, dtype=dt)
@@ -187,15 +193,19 @@ def _class_zeros(t: gf.FieldTower, cols: np.ndarray, mult: np.ndarray):
         yield eq
 
 
-def _zero_histogram(t: gf.FieldTower, code, budget: int) -> np.ndarray:
-    """Z_0..Z_emax, the codewords with c_0 = 1 by their number e of zeros (weight n - e), up to the largest e met; empty when k = 0."""
+def _zero_histogram(t: gf.FieldTower, code, budget: int, rows: int | None = None) -> np.ndarray:
+    """Z_0..Z_emax, the codewords with c_0 = 1 by their number e of zeros (weight n - e), up to the largest e met; empty when k = 0.
+
+    Given `rows`, only the words of the first `rows` rows (u_j = 0 for j >= rows) are counted.
+    """
     q, k = t.q, code.dimension
     if q**k > budget:
         raise BudgetExceeded(f"q^k = {q**k} exceeds budget {budget}")
+    k = k if rows is None else rows
     hist = np.zeros(0, dtype=np.int64)
     if k == 0:
         return hist
-    cols, mult = _projective_classes(t, code)
+    cols, mult = _projective_classes(t, code, k)
     for eq in _class_zeros(t, cols, mult):
         z = np.bincount(eq.astype(np.intp).ravel())  # no minlength: as long as the most zeros met, not n + 1
         if z.size > hist.size:
@@ -238,6 +248,8 @@ def min_distance_enumerate(t: gf.FieldTower, code, budget: int | None = None, me
     a MacWilliams transform; otherwise a bound-only result (d = None) for
     "auto" and "bound-only", and BudgetExceeded for a forced route.
     `enumerated` is the number of codewords accounted for, q^k or q^(n-k).
+    For k >= 2 direct enumeration visits only the q^(k-2) words with
+    c_(n-1) = 0 and c_0 = 1, which hold a lightest word up to shift and scaling.
     """
     b = effective_budget(budget)
     q, n, k = code.q, code.n, code.dimension
@@ -245,7 +257,7 @@ def min_distance_enumerate(t: gf.FieldTower, code, budget: int | None = None, me
         raise OutOfRange(f"unknown method {method!r}")
     chosen = route(q, n, k, b, method)
     if chosen == "direct-enum":
-        zeros = _zero_histogram(t, code, b)
+        zeros = _zero_histogram(t, code, b, k - 1 if k >= 2 else k)  # the words with c_(n-1) = 0 and c_0 = 1
         d = n - (zeros.size - 1) if zeros.size else None  # the last bin, the most zeros met, is nonzero
         return DistanceResult(d=d, method=chosen, enumerated=q**k)
     if chosen == "dual-macwilliams":

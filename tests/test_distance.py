@@ -50,9 +50,12 @@ def _span_tables(add, mul, start, rows, fit):
         yield table
 
 
-def pairwise_histogram(t, code):
-    """N_0..N_n of the c_0 = 1 codewords: each word of a right table against a whole left table with `!=`."""
-    q, n, k = t.q, code.n, code.dimension
+def pairwise_histogram(t, code, rows=None):
+    """N_0..N_n of the c_0 = 1 codewords: each word of a right table against a whole left table with `!=`.
+
+    Given `rows`, only the words of the first `rows` generator rows (u_j = 0 for j >= rows).
+    """
+    q, n, k = t.q, code.n, code.dimension if rows is None else rows
     hist = np.zeros(n + 1, dtype=np.int64)
     if k == 0:
         return hist
@@ -68,6 +71,11 @@ def pairwise_histogram(t, code):
         for b in neg[table]:
             hist += np.bincount((first != b).sum(axis=1), minlength=n + 1)
     return hist
+
+
+def first_weight(counts):
+    """The first w >= 1 with a nonzero count: the minimum distance of a histogram N_0..N_n, or None when k = 0."""
+    return next((w for w, c in enumerate(counts) if w and c), None)
 
 
 def by_weight(zeros, n):
@@ -104,7 +112,7 @@ def full_code(t, n):
     return bch.CyclicCode(defining=ds, genpoly=bch.generator_polynomial(t, ds))
 
 
-# (q, m, n, delta): k from 0 to 12; q = 9 is an odd-characteristic extension field
+# (q, m, n, delta): k from 0 to 12 (k = 0 for delta None, k = 1 at (2, 6, 21, 10)); q = 9 is an odd-characteristic extension field
 ORACLE_CODES = [
     (2, 6, 21, 9), (2, 6, 21, 5), (2, 6, 21, 10),
     (3, 4, 20, 11), (3, 4, 16, 5), (3, 4, 16, 11),
@@ -172,10 +180,44 @@ def test_enumerator_matches_naive_oracle(q, m, n, delta):
 
 
 @pytest.mark.parametrize("table_entries", [0, 64])
-@pytest.mark.parametrize("q,m,n,delta", [(2, 6, 21, 5), (3, 4, 16, 5), (4, 3, 21, 10), (9, 2, 10, 4), (9, 2, 10, 6)])
+@pytest.mark.parametrize("q,m,n,delta", ORACLE_CODES)
 def test_enumerator_with_tiny_tables_matches_naive_oracle(q, m, n, delta, table_entries, monkeypatch):
     monkeypatch.setattr(distance, "_TABLE_ENTRIES", table_entries)  # spans of 0-6 rows, many lead rows, narrow position blocks
     check_against_oracle(q, m, n, delta)
+
+
+# (q, m, n, delta, b, dual, zero columns of the first k - 1 rows): k = 2 with g_0 = 3 and b = 2 ([12, 2] over GF(5)),
+# k = 2 at b = 1 ([10, 2] over GF(9)); b = 0 with g_0 = 2 ([21, 4] over GF(4), [20, 4] over GF(3));
+# all-zero columns besides n - 1 ([20, 4] at b = 0, [21, 4], the [20, 4] dual); and the [21, 6] code,
+# whose d = 7 reads 9 over the words with u_1 = 0
+SLICE_CODES = [
+    (5, 2, 12, 7, 2, False, 3),
+    (9, 2, 10, 5, 1, False, 5),
+    (4, 3, 21, 11, 0, False, 1),
+    (3, 4, 20, 12, 0, False, 2),
+    (2, 6, 21, 8, 1, False, 3),
+    (3, 4, 20, 2, 1, True, 2),
+    (2, 6, 21, 6, 1, False, 1),
+]
+
+
+@pytest.mark.parametrize("table_entries", [distance._TABLE_ENTRIES, 0, 64])
+@pytest.mark.parametrize("q,m,n,delta,b,dual,zero_columns", SLICE_CODES)
+def test_direct_distance_over_the_slice_matches_naive_oracle(q, m, n, delta, b, dual, zero_columns, table_entries, monkeypatch):
+    monkeypatch.setattr(distance, "_TABLE_ENTRIES", table_entries)
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, delta, b)
+    if dual:
+        code = bch.dual_code(t, code)
+    k = code.dimension
+    cols, mult = distance._projective_classes(t, code, k - 1)
+    assert mult[~cols.any(axis=0)].tolist() == [zero_columns]  # one class of the all-zero columns, n - 1 among them
+    zeros = distance._zero_histogram(t, code, distance.DEFAULT_BUDGET, k - 1)
+    assert by_weight(zeros, n).tolist() == pairwise_histogram(t, code, k - 1).tolist() and zeros.sum() == q ** (k - 2)
+    if k == 2:  # the slice is the one word g / g_0
+        assert np.flatnonzero(by_weight(zeros, n)).tolist() == [np.count_nonzero(code.genpoly.coeffs)]
+    res = distance.min_distance_enumerate(t, code, method="direct")
+    assert res.d == first_weight(naive_weights(t, code)) and res.enumerated == q**k
 
 
 def repetition_code(t, n):
@@ -202,7 +244,47 @@ def test_enumerator_matches_pairwise_oracle(q, m, n, delta, dual):
     if dual:
         code = bch.dual_code(t, code)
     got = distance._zero_histogram(t, code, distance.DEFAULT_BUDGET)
-    assert by_weight(got, code.n).tolist() == pairwise_histogram(t, code).tolist()
+    full = pairwise_histogram(t, code)
+    assert by_weight(got, code.n).tolist() == full.tolist()
+    k = code.dimension
+    if k >= 2:
+        got = distance._zero_histogram(t, code, distance.DEFAULT_BUDGET, k - 1)
+        assert by_weight(got, code.n).tolist() == pairwise_histogram(t, code, k - 1).tolist()
+    assert distance.min_distance_enumerate(t, code, method="direct").d == first_weight(full)
+
+
+# the GEMM_ORACLE_CODES at a tiny cap where the slice takes at most a few thousand products: the [300, 8] dual
+# would take 7^5 lead combinations of 300 one-class blocks at 64 entries, [300, 5] and [21, 17] seconds at 0
+@pytest.mark.parametrize(
+    "q,m,n,delta,dual,table_entries",
+    [(7, 6, 14706, 12599, False, 0), (7, 6, 14706, 12599, False, 64), (7, 4, 300, 251, False, 64),
+     (2, 6, 21, 8, True, 64), (2, 6, 21, 10, False, 0), (2, 6, 21, 10, False, 64)],
+)
+def test_direct_distance_with_tiny_tables_matches_pairwise_oracle(q, m, n, delta, dual, table_entries, monkeypatch):
+    monkeypatch.setattr(distance, "_TABLE_ENTRIES", table_entries)
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, delta)
+    if dual:
+        code = bch.dual_code(t, code)
+    assert distance.min_distance_enumerate(t, code, method="direct").d == first_weight(pairwise_histogram(t, code))
+
+
+def test_direct_route_visits_the_words_with_c_n_minus_1_zero(monkeypatch):
+    engine, visited = distance._class_zeros, []
+
+    def counted(t, cols, mult):
+        for eq in engine(t, cols, mult):
+            visited.append(eq.size)
+            yield eq
+
+    monkeypatch.setattr(distance, "_class_zeros", counted)
+    t = gf.tower_for(7, 4)
+    code = bch.dual_code(t, bch.bch_code(t, 300, 3))  # [300, 8]
+    res = distance.min_distance_enumerate(t, code)
+    assert (res.d, res.method, res.enumerated) == (228, "direct-enum", 7**8) and sum(visited) == 7**6
+    visited.clear()
+    distance.weight_enumerator(t, code)  # a distribution still needs every word with c_0 = 1
+    assert sum(visited) == 7**7
 
 
 def test_repetition_code_over_two_ragged_blocks():
@@ -260,17 +342,25 @@ def test_class_multiplicity_past_float32_is_exact():
 
 
 def test_every_default_grid_enumeration_matches_pairwise_oracle(monkeypatch):
-    kernel, seen = distance._zero_histogram, []
+    kernel, min_distance, seen, direct = distance._zero_histogram, distance.min_distance_enumerate, [], []
 
-    def checked(t, code, budget):
-        got = kernel(t, code, budget)
-        assert by_weight(got, code.n).tolist() == pairwise_histogram(t, code).tolist(), (t.q, code.n, code.dimension)
+    def checked(t, code, budget, rows=None):  # a full histogram for a distribution, the slice's for a direct distance
+        got = kernel(t, code, budget, rows)
+        assert by_weight(got, code.n).tolist() == pairwise_histogram(t, code, rows).tolist(), (t.q, code.n, code.dimension)
         seen.append(t.q**code.dimension)
         return got
 
+    def checked_distance(t, code, **kwargs):
+        res = min_distance(t, code, **kwargs)
+        if res.method == "direct-enum":
+            assert res.d == first_weight(pairwise_histogram(t, code)), (t.q, code.n, code.dimension)
+            direct.append(res.d)
+        return res
+
     monkeypatch.setattr(distance, "_zero_histogram", checked)
+    monkeypatch.setattr(distance, "min_distance_enumerate", checked_distance)
     verify.verify_all()
-    assert len(seen) == 34 and max(seen) == 7**8  # the largest is the [300, 8] dual over GF(7)
+    assert len(seen) == 34 and len(direct) == 32 and max(seen) == 7**8  # the largest is the [300, 8] dual over GF(7)
 
 
 def test_enumerator_on_duals_matches_naive_oracle():
