@@ -355,15 +355,19 @@ def bch_code(t: gf.FieldTower, n: int, delta: int, b: int = 1, family: str = "ra
     return BchCode(ds, generator_polynomial(t, ds), m=m if m is not None else t.m, family=family, b=b, delta=delta)
 
 
-def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: int | None = None):
-    """Build tower and code for a family point; returns (tower, code).
+def family_defining_set(q: int, m: int, family: str, delta: int, b: int = 1, n: int | None = None) -> DefiningSet:
+    """The defining set of a family point, after every check of `build_family_code` and in its order; builds no tower.
 
-    family "raw" takes an explicit n (must divide q^m - 1, checked before the tower is built), and only it does.
+    family "raw" takes an explicit n (must divide q^m - 1), and only it does.  The
+    tower's own checks come before the set: the order guard, q a prime power
+    and the subfield guard.
     """
     if family in cosets.FAMILIES:
         if n is not None:
             raise UsageError(f"family {family!r} derives n from q and m; an explicit n is for family 'raw'")
         n = cosets.family_length(q, m, family)
+        gf.check_tower_order(q, m)
+        gf.prime_power(q)
     elif family == "raw":
         if n is None:
             raise UsageError("family 'raw' needs an explicit n")
@@ -375,5 +379,15 @@ def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: in
             raise TowerMismatch(f"n={n} does not divide q^m-1={show_int(q**m - 1)}")
     else:
         raise FamilyConstraint(f"unknown family {family!r}")
+    gf.check_subfield(q)
+    return defining_set(q, n, delta, b)
+
+
+def build_family_code(q: int, m: int, family: str, delta: int, b: int = 1, n: int | None = None):
+    """Build tower and code for a family point; returns (tower, code).
+
+    Every check is `family_defining_set`'s, made before the tower is built.
+    """
+    ds = family_defining_set(q, m, family, delta, b, n)
     t = gf.tower_for(q, m)
-    return t, bch_code(t, n, delta, b=b, family=family, m=m)
+    return t, BchCode(ds, generator_polynomial(t, ds), m=m, family=family, b=b, delta=delta)

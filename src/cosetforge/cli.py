@@ -7,6 +7,13 @@ reproduces it byte for byte.  Exit codes: 0 success, 1 domain error,
 before the report was written (the reader of a pipe went away; no
 traceback).
 
+`code` and `dual` read every summary field off the defining sets T and
+T_perp: the dimension, the BCH bound and the generator's degree, which is
+|T| (|T_perp| for the dual).  `bch.family_defining_set` makes every check
+of the code builder without a tower, so the tower GF(q^m) and a generator
+polynomial are built only by `--true-distance`, when `distance.route`
+finds an enumeration within the budget or the method is forced.
+
 `dually-bch --sweep` keeps its verdicts as the boolean vector from
 `bch.dually_bch_sweep` up to output, and its rows are written as uint8
 blocks of at most SWEEP_BLOCK rows, with no Python work per row and no
@@ -194,54 +201,61 @@ def _cmd_cosets(args) -> tuple[dict, int]:
     return doc, 0
 
 
-def _code_summary(code) -> dict:
+def _code_summary(args, ds) -> dict:
+    """A code's fields, all read off its defining set T: the generator's degree is |T|."""
     return {
-        "q": code.q,
-        "m": code.m,
-        "family": code.family,
-        "n": code.n,
-        "b": code.b,
-        "delta": code.delta,
-        "dim": code.dimension,
-        "bch_bound": code.bch_bound,
-        "genpoly_degree": code.genpoly.degree,
-        "defining_set_size": code.defining.size,
+        "q": ds.q,
+        "m": args.m,
+        "family": args.family,
+        "n": ds.n,
+        "b": args.b,
+        "delta": args.delta,
+        "dim": ds.n - ds.size,
+        "bch_bound": bch.bch_bound(ds),
+        "genpoly_degree": ds.size,
+        "defining_set_size": ds.size,
     }
 
 
-def _distance_doc(t, code, args, bounds: dict) -> dict:
-    res = distance.min_distance_enumerate(t, code, budget=args.max_codewords, method=args.method)
+def _distance_doc(args, ds, bounds: dict) -> dict:
+    """The distance of the cyclic code with defining set ds; its tower and generator are built only when an enumeration reads them."""
+    budget = distance.effective_budget(args.max_codewords)
+    if args.method in ("auto", "bound-only") and distance.route(ds.q, ds.n, ds.n - ds.size, budget, args.method) is None:
+        res = distance.BOUND_ONLY
+    else:
+        t = gf.tower_for(args.q, args.m)
+        res = distance.min_distance_enumerate(t, bch.CyclicCode(ds, bch.generator_polynomial(t, ds)), budget=budget, method=args.method)
     return {"d": res.d, "method": res.method, "enumerated": res.enumerated, "bounds": bounds}
 
 
 def _cmd_code(args) -> tuple[dict, int]:
-    t, code = bch.build_family_code(args.q, args.m, args.family, args.delta, b=args.b, n=args.n)
-    doc = _code_summary(code)
-    doc["dually_bch"] = _recognition_doc(bch.dual_defining_set(code.defining))
+    ds = bch.family_defining_set(args.q, args.m, args.family, args.delta, b=args.b, n=args.n)
+    doc = _code_summary(args, ds)
+    doc["dually_bch"] = _recognition_doc(bch.dual_defining_set(ds))
     if args.true_distance:
-        doc["distance"] = _distance_doc(t, code, args, {"designed": code.delta, "bch_run": doc["bch_bound"]})
+        doc["distance"] = _distance_doc(args, ds, {"designed": args.delta, "bch_run": doc["bch_bound"]})
     return doc, 0
 
 
 def _cmd_dual(args) -> tuple[dict, int]:
-    t, code = bch.build_family_code(args.q, args.m, args.family, args.delta, b=args.b, n=args.n)
-    dual = bch.dual_code(t, code)
-    bounds = {"bch_run": bch.bch_bound(dual.defining)}
+    ds = bch.family_defining_set(args.q, args.m, args.family, args.delta, b=args.b, n=args.n)
+    dual = bch.dual_defining_set(ds)
+    bounds = {"bch_run": bch.bch_bound(dual)}
     if args.family == cosets.PLUS and args.b == 1 and args.m >= 4:  # where dual_bound_closed_form applies
         bounds["closed_form"] = distance.dual_bound_closed_form(args.q, args.m, args.delta)
     doc = {
-        "primal": _code_summary(code),
+        "primal": _code_summary(args, ds),
         "dual": {
             "n": dual.n,
-            "dim": dual.dimension,
-            "defining_set_size": dual.defining.size,
-            "genpoly_degree": dual.genpoly.degree,
-            "recognized": _recognition_doc(dual.defining),
+            "dim": dual.n - dual.size,
+            "defining_set_size": dual.size,
+            "genpoly_degree": dual.size,
+            "recognized": _recognition_doc(dual),
         },
         "bounds": bounds,
     }
     if args.true_distance:
-        doc["distance"] = _distance_doc(t, dual, args, bounds)
+        doc["distance"] = _distance_doc(args, dual, bounds)
     return doc, 0
 
 

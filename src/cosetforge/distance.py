@@ -20,14 +20,23 @@ weighted by its multiplicity (MacWilliams & Sloane, ch. 1).  The
 
 Words are counted in pairs (meet in the middle): q^a left words from the
 c_0 = 1 row against q^b right words, shifted by each combination of the
-remaining rows.  x + y is zero where x_i = -y_i, so per block of classes
-one product of the one-hot matrices [x_i = v] and mult_i [-y_i = v]
-(v < q) sums the multiplicities of those classes for all q^a x q^b pairs,
-and a weight is n minus their sum over blocks.  Every partial sum of an
-entry is an integer at most the total multiplicity n, so float32 is exact
-in any order while n < 2^24 and float64 is used from there; the float64
-sum over blocks is exact (n < 2^53).  One cap bounds q^(a+b) and each
-one-hot block (at least one class wide).
+remaining rows.  x + y is zero where x_i = -y_i, and with no column for
+the value 0,
+
+    sum_{c != 0} [x = c] ([-y = c] - [y = 0]) + [y = 0] = [x = -y].
+
+So per block of classes one product of the one-hot matrices [x_i = c] and
+mult_i ([-y_i = c] - [y_i = 0]) (c = 1, ..., q-1) sums, for all q^a x q^b
+pairs, the multiplicities of those classes except where both words are
+zero; each right word's zero mass, the sum of mult_i [y_i = 0] over all
+classes, adds that back to its column, and a weight is n minus the total.
+A right entry is -mult_i, 0 or mult_i and a left word meets at most one
+of a class's columns, so every partial sum of an entry is an integer of
+size at most the total multiplicity n: float32 is exact in any order while
+n < 2^24 and float64 is used from there; the sums over blocks and the zero
+masses are float64, exact (n < 2^53).  One cap bounds q^(a+b) and each
+one-hot block (at least one class wide).  The spans of words read the
+q x q addition table flat, x + y at index q y + x, one lookup per entry.
 
 The MacWilliams transform runs the three-term Krawtchouk recurrence
 (MacWilliams & Sloane, ch. 5).  `route` is the one budget policy: direct
@@ -89,11 +98,18 @@ class DistanceResult:
     enumerated: int
 
 
-def _span(add: np.ndarray, mul: np.ndarray, start: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """start + every GF(q) combination of rows, one word per row of a q^len(rows) x len(start) table."""
+BOUND_ONLY = DistanceResult(d=None, method="bound-only", enumerated=0)  # no route fits the budget
+
+
+def _span(add: np.ndarray, mul_q: np.ndarray, start: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """start + every GF(q) combination of rows, one word per row of a q^len(rows) x len(start) table.
+
+    `add` is the q x q addition table read flat and `mul_q` holds q (c r), so x + c r is the one lookup
+    add[q (c r) + x] (the table is symmetric).
+    """
     table = start[None, :]
-    for r in rows:  # np.take keeps c r (c < q) in C order, and so the table: np.take copies other index layouts
-        table = add[table[None, :, :], np.take(mul, r, axis=1)[:, None, :]].reshape(-1, len(start))
+    for r in rows:  # c r (c < q) in C order, and so the table: np.take copies other index layouts
+        table = np.take(add, np.take(mul_q, r, axis=1)[:, None, :] + table).reshape(-1, len(start))
     return table
 
 
@@ -167,29 +183,36 @@ def _class_zeros(t: gf.FieldTower, cols: np.ndarray, mult: np.ndarray):
     """
     q, (k, d) = t.q, cols.shape
     dt = cols.dtype
-    add = np.asarray(t.q_add, dtype=dt)
-    mul = np.asarray(t.q_mul, dtype=dt)
+    add = np.asarray(t.q_add, dtype=dt).ravel()
+    mul_q = np.asarray(t.q_mul, dtype=np.min_scalar_type(q * q - 1)) * q
     base, rows = cols[0], cols[1:]
     s = min(k - 1, next(r for r in itertools.count() if q ** (r + 1) > _TABLE_ENTRIES))  # q^s word pairs per product
     a, b = (s + 1) // 2, s // 2
     width = max(1, _TABLE_ENTRIES // q ** (a + 1))  # classes per one-hot block of the q^a left words
     ft = np.float32 if int(mult.sum()) < 1 << 24 else np.float64  # a partial sum is at most the total multiplicity
-    one_hot = np.eye(q, dtype=ft)  # row v: [v == 0], ..., [v == q-1]
-    neg_hot = one_hot[t.q_neg]  # row v: the one-hot of -v
+    eye = np.eye(q, dtype=ft)
+    one_hot = eye[:, 1:]  # row x: [x = 1], ..., [x = q-1]
+    neg_hot = eye[t.q_neg, 1:] - eye[:, :1]  # row y: [-y = c] - [y = 0] for c = 1, ..., q-1
     weight = mult.astype(ft)[:, None, None]
+    zero_weight = mult.astype(np.float64)
     offset = q * np.arange(min(width, d))
     eq = np.empty((q**a, q**b))  # multiplicities of the classes where the left word = -the right word
+    zero_mass = np.empty(q**b)  # per right word, the multiplicities of the classes where it is zero
     for scalars in itertools.product(range(q), repeat=k - 1 - s):
         word = np.zeros(d, dtype=dt)
         for c, r in zip(scalars, rows[s:]):
-            word = add[word, mul[c, r]]
+            word = np.take(add, mul_q[c, r] + word)
         eq.fill(0)
+        zero_mass.fill(0)
         for i in range(0, d, width):
             j = slice(i, i + width)
-            lhs = np.take(one_hot, _span(add, mul, base[j], rows[:a, j]), axis=0)
-            table = (weight[j] * neg_hot).reshape(-1, q)  # row q c + v: mult_c times the one-hot of -v, c in the block
-            rhs = np.take(table, _span(add, mul, word[j], rows[a:s, j]) + offset[: len(table) // q], axis=0)
+            lhs = np.take(one_hot, _span(add, mul_q, base[j], rows[:a, j]), axis=0)
+            right = _span(add, mul_q, word[j], rows[a:s, j])
+            table = (weight[j] * neg_hot).reshape(-1, q - 1)  # row q c + y: mult_c times row y of neg_hot, c in the block
+            rhs = np.take(table, right + offset[: len(table) // q], axis=0)
             eq += lhs.reshape(q**a, -1) @ rhs.reshape(q**b, -1).T
+            zero_mass += (right == 0) @ zero_weight[j]
+        eq += zero_mass
         yield eq
 
 
@@ -265,7 +288,7 @@ def min_distance_enumerate(t: gf.FieldTower, code, budget: int | None = None, me
         wc = macwilliams_transform(wd, q, k_dual=k)
         return DistanceResult(d=wc.min_positive_weight(), method=chosen, enumerated=q ** (n - k))
     if method in ("auto", "bound-only"):
-        return DistanceResult(d=None, method="bound-only", enumerated=0)
+        return BOUND_ONLY
     need = f"q^k = {q}^{k}" if method == "direct" else f"q^(n-k) = {q}^{n - k}"
     raise BudgetExceeded(f"method {method} needs {need} codewords, over budget {b}")
 

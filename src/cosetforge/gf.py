@@ -306,6 +306,12 @@ def check_tower_order(base: int, exp: int) -> None:
         raise OrderTooLarge(f"field order {show_int(base)}^{exp} exceeds the guard {ORDER_GUARD}")
 
 
+def check_subfield(q: int) -> None:
+    """OrderTooLarge when q exceeds SUBFIELD_GUARD, the bound on the q x q GF(q) tables of a tower."""
+    if q > SUBFIELD_GUARD:
+        raise OrderTooLarge(f"q = {q} exceeds the subfield guard {SUBFIELD_GUARD} of the q x q tables")
+
+
 @lru_cache(maxsize=None)
 def build_tower(p: int, e: int, m: int) -> FieldTower:
     """Construct the tower GF(p) < GF(p^e) < GF(p^(e*m)): its modulus and the GF(q) tables."""
@@ -316,8 +322,7 @@ def build_tower(p: int, e: int, m: int) -> FieldTower:
     if prime_power(p)[1] != 1:
         raise NotPrime(f"{p} is not prime")
     q = p**e
-    if q > SUBFIELD_GUARD:
-        raise OrderTooLarge(f"q = {q} exceeds the subfield guard {SUBFIELD_GUARD} of the q x q tables")
+    check_subfield(q)
     order = p**d
     modulus = _smallest_primitive_modulus(p, d)
     return FieldTower(

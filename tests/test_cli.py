@@ -1,5 +1,6 @@
 """Command-line behaviour: schemas, formats, exit codes, round-tripping."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -75,6 +76,81 @@ def test_dual_report_below_closed_form_range(capsys):
     doc = json.loads(out)
     assert rc == 0 and doc["dual"]["n"] == 2
     assert "closed_form" not in doc["bounds"] and "bch_run" in doc["bounds"]
+
+
+# (q, m, family, n, delta, b): plus, minus and raw points with b = 0, 1, 2, 3; the b = 0, delta = 21 point of
+# length 21 has T = Z_21, so the code has k = 0 and its dual k = n; the last three are the bound-only big towers
+GOLDEN_POINTS = [
+    (3, 4, "plus", None, 2, 1),
+    (3, 4, "plus", None, 11, 1),
+    (3, 4, "plus", None, 3, 2),
+    (2, 4, "plus", None, 3, 1),
+    (3, 4, "minus", None, 3, 1),
+    (3, 4, "minus", None, 4, 0),
+    (4, 3, "raw", 21, 10, 1),
+    (2, 6, "raw", 21, 5, 1),
+    (2, 6, "raw", 21, 3, 3),
+    (2, 6, "raw", 21, 21, 0),
+    (2, 20, "raw", 1025, 4, 1),
+    (3, 12, "raw", 730, 3, 1),
+    (3, 10, "plus", None, 4, 1),
+]
+GOLDEN_RUNS = [[], ["--true-distance"]]
+GOLDEN_RUNS += [["--true-distance", "--method", method] for method in ("direct", "dual-macwilliams", "bound-only")]
+GOLDEN_RUNS += [["--true-distance", "--max-codewords", "100", "--method", method] for method in ("auto", "direct", "dual-macwilliams")]
+GOLDEN_ERRORS = [
+    ["code", "--q", "2", "--m", "4", "--family", "raw", "--n", "7", "--delta", "3"],
+    ["dual", "--q", "6", "--m", "4", "--family", "raw", "--n", "7", "--delta", "3"],
+    ["code", "--q", "8191", "--m", "1", "--family", "raw", "--n", "2", "--delta", "2"],
+    ["dual", "--q", "8191", "--m", "1", "--family", "raw", "--n", "4", "--delta", "2"],
+    ["code", "--q", "3", "--m", "5", "--family", "plus", "--delta", "3"],
+    ["dual", "--q", "2", "--m", "4", "--family", "minus", "--delta", "3"],
+    ["code", "--q", "3", "--m", "4", "--family", "plus", "--delta", "21"],
+    ["dual", "--q", "3", "--m", "4", "--family", "plus", "--n", "20", "--delta", "3"],
+    ["code", "--q", "3", "--m", "4", "--family", "plus", "--delta", "3", "--true-distance", "--max-codewords", "-1"],
+]
+GOLDEN_FILE = pathlib.Path(__file__).parent / "data" / "code_dual_golden.json"
+
+
+def golden_grid():
+    """Every code and dual run of the golden points, then the error cases."""
+    for cmd in ("code", "dual"):
+        for q, m, family, n, delta, b in GOLDEN_POINTS:
+            point = [cmd, "--q", str(q), "--m", str(m), "--family", family, "--delta", str(delta), "--b", str(b)]
+            yield from (point + (["--n", str(n)] if n else []) + extra for extra in GOLDEN_RUNS)
+    yield from GOLDEN_ERRORS
+
+
+def golden_digest(capsys, argv) -> str:
+    """The first 16 hex digits of sha256 over the JSON of [exit code, stdout, stderr]."""
+    return hashlib.sha256(json.dumps(run_cli(capsys, *argv)).encode()).hexdigest()[:16]
+
+
+def test_code_and_dual_reports_match_their_golden_bytes(capsys):
+    # the digests were taken when code and dual still built the tower and generators for every report
+    golden = json.loads(GOLDEN_FILE.read_text())
+    assert {" ".join(argv): golden_digest(capsys, argv) for argv in golden_grid()} == golden
+
+
+def test_reports_that_read_no_generator_build_no_tower(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a tower or generator was built for a report that reads neither")
+
+    gf.tower_for.cache_clear()
+    gf.build_tower.cache_clear()
+    monkeypatch.setattr(gf, "_smallest_primitive_modulus", never)
+    monkeypatch.setattr(bch, "generator_polynomial", never)
+    golden = json.loads(GOLDEN_FILE.read_text())
+    bound_only = [
+        ["code", "--q", "2", "--m", "20", "--family", "raw", "--delta", "4", "--b", "1", "--n", "1025", "--true-distance"],
+        ["dual", "--q", "3", "--m", "12", "--family", "raw", "--delta", "3", "--b", "1", "--n", "730", "--true-distance"],
+        ["code", "--q", "3", "--m", "10", "--family", "plus", "--delta", "4", "--b", "1", "--true-distance"],
+    ]
+    summaries = [argv for argv in golden_grid() if "--true-distance" not in argv]  # errors among them
+    for argv in summaries + bound_only:
+        assert golden_digest(capsys, argv) == golden[" ".join(argv)], argv
+    rc, out, _ = run_cli(capsys, *bound_only[2])
+    assert rc == 0 and json.loads(out)["distance"]["method"] == "bound-only"
 
 
 def test_dually_bch_sweep(capsys):
@@ -460,6 +536,10 @@ def test_raw_code_on_a_2_24_tower_is_quick(capsys):
     assert time.perf_counter() - start < 2
     doc = json.loads(out)
     assert rc == 0 and (doc["dim"], doc["genpoly_degree"]) == (217, 24)
+    # the report reads no generator, so the library builds the tower and the degree-24 generator here
+    start = time.perf_counter()
+    _, code = bch.build_family_code(2, 24, "raw", 3, n=241)
+    assert time.perf_counter() - start < 2 and code.genpoly.degree == 24
 
 
 def test_family_length_past_the_digit_cap_is_one_error_line(capsys):

@@ -339,6 +339,31 @@ def test_class_multiplicity_past_float32_is_exact():
     mult = np.array([1, 2**24 + 1, 3])  # float32 holds 2^24 + 1 as 2^24
     (eq,) = distance._class_zeros(t, cols, mult)  # left words (1, 0) and (1, 1) against the zero word
     assert eq.ravel().tolist() == [2**24 + 1, 3]
+    # over GF(3) the zero right word's zero mass, 2^24 + 9, is odd past 2^24, and each left word takes back the
+    # classes where it is nonzero: (1, 0, 1, 1) keeps 2^24 + 1, (1, 1, 2, 0) keeps 4, (1, 2, 0, 2) keeps 3
+    t = gf.tower_for(3, 1)
+    cols = np.array([[1, 0, 1, 1], [0, 1, 1, 2]], dtype=np.uint8)  # the four points of the projective line over GF(3)
+    (eq,) = distance._class_zeros(t, cols, np.array([1, 2**24 + 1, 3, 4]))
+    assert eq.ravel().tolist() == [2**24 + 1, 4, 3]
+
+
+# (q, m, n, delta): one code for each kind of GF(q) table, GF(4) and GF(9) adding digit-wise
+ONE_HOT_CODES = [(2, 6, 21, 5), (3, 4, 20, 11), (4, 3, 21, 10), (7, 4, 300, 251), (9, 2, 20, 12)]
+
+
+@pytest.mark.parametrize("table_entries", [distance._TABLE_ENTRIES, 64])
+@pytest.mark.parametrize("q,m,n,delta", ONE_HOT_CODES)
+def test_one_hot_without_the_zero_column_matches_pairwise_oracle(q, m, n, delta, table_entries, monkeypatch):
+    # the one-hot operands hold q - 1 columns per class: a pair meets where x = c = -y for some c != 0, and a
+    # zero x meets a zero y through the right word's zero mass, which the products first take back where x != 0
+    monkeypatch.setattr(distance, "_TABLE_ENTRIES", table_entries)
+    t = gf.tower_for(q, m)
+    code = bch.bch_code(t, n, delta)
+    got = distance._zero_histogram(t, code, distance.DEFAULT_BUDGET)
+    assert by_weight(got, n).tolist() == pairwise_histogram(t, code).tolist()
+    k = code.dimension
+    got = distance._zero_histogram(t, code, distance.DEFAULT_BUDGET, k - 1)
+    assert by_weight(got, n).tolist() == pairwise_histogram(t, code, k - 1).tolist()
 
 
 def test_every_default_grid_enumeration_matches_pairwise_oracle(monkeypatch):
